@@ -353,7 +353,8 @@ def cmd_demo(args) -> int:
 def _add_element_args(parser, default_r: int = 1) -> None:
     parser.add_argument("--in", dest="infile", help="element JSON file")
     parser.add_argument("--word", help="word to evaluate instead of --in")
-    parser.add_argument("--base", default="Z", help="base group (Z or Zm:<m>)")
+    parser.add_argument("--base", default="Z",
+                        help="base group (Z, Zm:<m> or free:<gens>)")
     parser.add_argument("--r", type=int, default=default_r,
                         help="lattice rank when using --word")
 

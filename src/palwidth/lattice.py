@@ -106,9 +106,6 @@ class LatticeFn:
     def add(self, other: "LatticeFn") -> "LatticeFn":
         return self.combine(other, operator.add)
 
-    def negate(self) -> "LatticeFn":
-        return self.map_values(operator.neg)
-
     def total(self) -> int:
         return sum(self._entries.values())
 

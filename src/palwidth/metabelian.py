@@ -11,7 +11,6 @@ coefficient functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import VerificationError
 from .lattice import LatticeFn, Point, zero_fn
@@ -77,17 +76,19 @@ def evaluate_word_flow(r: int, word: Word) -> FlowElement:
     """Trace the word's path from the origin, counting signed edge passages."""
     edges: dict[Edge, int] = {}
     pos = [0] * r
-    for gen, sign in word.letters:
+    for gen, exp in word.runs:
         if not 0 <= gen < r:
             raise ValueError(f"letter index {gen} outside rank-{r} alphabet")
-        if sign > 0:
-            key = (tuple(pos), gen)
-            edges[key] = edges.get(key, 0) + 1
-            pos[gen] += 1
+        if exp > 0:
+            for _ in range(exp):
+                key = (tuple(pos), gen)
+                edges[key] = edges.get(key, 0) + 1
+                pos[gen] += 1
         else:
-            pos[gen] -= 1
-            key = (tuple(pos), gen)
-            edges[key] = edges.get(key, 0) - 1
+            for _ in range(-exp):
+                pos[gen] -= 1
+                key = (tuple(pos), gen)
+                edges[key] = edges.get(key, 0) - 1
     return FlowElement(r, tuple(pos), _clean(edges))
 
 
@@ -108,13 +109,6 @@ def invert_flow(a: FlowElement) -> FlowElement:
     edges = {(tuple(c + n for c, n in zip(point, neg)), axis): -value
              for (point, axis), value in a.edges.items()}
     return FlowElement(a.r, neg, edges)
-
-
-def product_flow(r: int, elements: Iterable[FlowElement]) -> FlowElement:
-    out = identity_flow(r)
-    for e in elements:
-        out = multiply_flow(out, e)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -164,9 +164,9 @@ def _battlement_word(r: int, pair: Pair, grid: Point, amount: int
 
     core_factors: list[Word] = []
     if d > 0:
-        core_factors = [Word(core.letters[:1]), Word(core.letters[1:])]
+        core_factors = list(core.split(1))
     elif d < 0:
-        core_factors = [Word(core.letters[:-1]), Word(core.letters[-1:])]
+        core_factors = list(core.split(-1))
     for part in core_factors:
         if not part.is_palindrome():
             raise VerificationError("battlement core split is not palindromic")

@@ -175,9 +175,6 @@ def _split_even_axis(f: LatticeFn, tau: Point, axis: int) -> list[SkewPiece]:
     def embed(piece: LatticeFn) -> LatticeFn:
         return LatticeFn(r, {put(x, 0): v for x, v in piece.items()})
 
-    def embed_center(two_c: Point) -> Point:
-        return two_c[:axis] + (0,) + two_c[axis:]
-
     pieces = [SkewPiece(g_off.add(embed(sub[0].fn)), tuple(tau))]
     slice_axes = [j for j in range(r) if j != axis]
     for sub_piece, target_axis in zip(sub[1:], slice_axes):

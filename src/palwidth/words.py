@@ -1,19 +1,26 @@
 """Exact words over a finite generating alphabet with formal inverses.
 
-A word is a literal sequence of signed letters.  Palindromicity is judged
-on that literal sequence (exponents expanded to unit letters), never on a
-reduced form.
+A word is stored run-length encoded: a tuple of maximal runs (generator
+index, nonzero exponent), where adjacent runs differ in generator or in the
+sign of the exponent.  Such runs are unique for each letter sequence, so
+equality, palindromicity and every other operation here work on runs in
+O(runs) time, and memory does not grow with exponent values.  Palindromicity
+is still judged on the literal letter sequence (a^3 t a^3 is a palindrome,
+a A is not), never on a reduced form.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterable
 
 _NAME_RE = re.compile(r"[a-z][0-9]*\Z")
-_TOKEN_RE = re.compile(r"([A-Za-z][0-9]*)(\^(-?[0-9]+))?")
+# One token (name, optional exponent) or one stray non-space character.
+_TOKEN_RE = re.compile(r"([A-Za-z][0-9]*)(?:\^(-?[0-9]+))?|(\S)")
 
 Letter = tuple[int, int]  # (generator index, sign in {+1, -1})
+Run = tuple[int, int]     # (generator index, nonzero exponent)
 
 
 @dataclass(frozen=True)
@@ -41,65 +48,144 @@ class Alphabet:
             raise ValueError(f"unknown generator {name!r} (alphabet {self.names})")
 
 
-@dataclass(frozen=True)
 class Word:
-    """Immutable sequence of (generator index, sign) letters; () is the empty word."""
+    """Immutable word stored as maximal runs; Word() is the empty word.
 
-    letters: tuple[Letter, ...] = ()
+    `Word(runs)` accepts any sequence of (generator, exponent) pairs with
+    nonzero exponents and merges neighbours with the same generator and the
+    same sign, so a tuple of unit letters is accepted as it is.  `len()` is
+    the number of letters.
+    """
 
-    def __post_init__(self) -> None:
-        for gen, sign in self.letters:
-            if sign not in (1, -1) or gen < 0:
-                raise ValueError(f"bad letter ({gen}, {sign})")
+    __slots__ = ("runs", "_len")
+
+    def __init__(self, runs: Iterable[Run] = ()) -> None:
+        out: list[Run] = []
+        total = 0
+        for gen, exp in runs:
+            if gen < 0 or not exp:
+                raise ValueError(f"bad run ({gen}, {exp})")
+            total += exp if exp > 0 else -exp
+            if out:
+                last_gen, last_exp = out[-1]
+                if last_gen == gen and (last_exp > 0) == (exp > 0):
+                    out[-1] = (gen, last_exp + exp)
+                    continue
+            out.append((gen, exp))
+        self.runs: tuple[Run, ...] = tuple(out)
+        self._len = total
+
+    @classmethod
+    def _of(cls, runs: tuple[Run, ...], length: int) -> "Word":
+        """Wrap runs already known to be maximal, skipping the merge pass."""
+        word = cls.__new__(cls)
+        word.runs = runs
+        word._len = length
+        return word
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return self._len
 
     def __bool__(self) -> bool:
-        return bool(self.letters)
+        return bool(self.runs)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Word):
+            return NotImplemented
+        return self.runs == other.runs
+
+    def __hash__(self) -> int:
+        return hash(self.runs)
+
+    def __repr__(self) -> str:
+        return f"Word({self.runs!r})"
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        return concat((self, other))
+
+    @property
+    def letters(self) -> tuple[Letter, ...]:
+        """Unit-letter expansion; O(len), for tests and tiny words only."""
+        return tuple((gen, 1 if exp > 0 else -1)
+                     for gen, exp in self.runs for _ in range(abs(exp)))
+
+    def split(self, index: int) -> tuple["Word", "Word"]:
+        """(first `index` letters, the rest); a negative index counts from the end."""
+        if index < 0:
+            index += self._len
+        if not 0 <= index <= self._len:
+            raise ValueError(f"split index {index} outside a word of length {self._len}")
+        seen = 0
+        for k, (gen, exp) in enumerate(self.runs):
+            size = abs(exp)
+            if seen + size >= index:
+                cut = index - seen
+                sign = 1 if exp > 0 else -1
+                head = self.runs[:k] + (((gen, sign * cut),) if cut else ())
+                tail = (((gen, exp - sign * cut),) if cut < size else ()) + self.runs[k + 1:]
+                return Word._of(head, index), Word._of(tail, self._len - index)
+            seen += size
+        return self, EPSILON
 
     def reverse(self) -> "Word":
         """Same letters in reverse order, signs unchanged."""
-        return Word(self.letters[::-1])
+        return Word._of(self.runs[::-1], self._len)
 
     def invert(self) -> "Word":
         """Group inverse: reversed order with all signs flipped."""
-        return Word(tuple((g, -s) for g, s in self.letters[::-1]))
+        return Word._of(tuple((g, -e) for g, e in self.runs[::-1]), self._len)
 
     def is_palindrome(self) -> bool:
         """True iff the letter sequence equals its own reversal, signs included."""
-        return self.letters == self.letters[::-1]
+        return self.runs == self.runs[::-1]
 
     def free_reduce(self) -> "Word":
-        """Delete adjacent inverse pairs until none remain (unique reduced form)."""
-        stack: list[Letter] = []
-        for gen, sign in self.letters:
-            if stack and stack[-1][0] == gen and stack[-1][1] == -sign:
-                stack.pop()
+        """Cancel adjacent inverse letters until none remain (unique reduced form)."""
+        stack: list[Run] = []
+        for gen, exp in self.runs:
+            if stack and stack[-1][0] == gen:
+                # Neighbouring stack runs never share a generator, so what is
+                # left after this merge cannot meet the run below it.
+                total = stack[-1][1] + exp
+                if total:
+                    stack[-1] = (gen, total)
+                else:
+                    stack.pop()
             else:
-                stack.append((gen, sign))
-        return Word(tuple(stack))
+                stack.append((gen, exp))
+        return Word._of(tuple(stack), sum(abs(e) for _, e in stack))
 
 
 EPSILON = Word()
 
 
 def power(gen: int, exp: int) -> Word:
-    """The word gen^exp, expanded to |exp| unit letters."""
+    """The word gen^exp as a single run (the empty word for exp = 0)."""
+    if gen < 0:
+        raise ValueError(f"bad generator index {gen}")
     if exp == 0:
         return EPSILON
-    sign = 1 if exp > 0 else -1
-    return Word(((gen, sign),) * abs(exp))
+    return Word._of(((gen, exp),), abs(exp))
 
 
-def concat(words: list[Word] | tuple[Word, ...]) -> Word:
-    out: list[Letter] = []
+def concat(words: Iterable[Word]) -> Word:
+    """Product of the words; only the runs meeting at each seam can merge."""
+    out: list[Run] = []
+    total = 0
     for w in words:
-        out.extend(w.letters)
-    return Word(tuple(out))
+        runs = w.runs
+        if not runs:
+            continue
+        total += w._len
+        if out:
+            last_gen, last_exp = out[-1]
+            gen, exp = runs[0]
+            if last_gen == gen and (last_exp > 0) == (exp > 0):
+                out[-1] = (gen, last_exp + exp)
+                out.extend(runs[1:])
+                continue
+        out.extend(runs)
+    return Word._of(tuple(out), total)
 
 
 def free_equal(a: Word, b: Word) -> bool:
@@ -107,42 +193,26 @@ def free_equal(a: Word, b: Word) -> bool:
 
 
 def parse_word(alphabet: Alphabet, text: str) -> Word:
-    """Parse text form: lowercase = generator, uppercase = inverse, ^k = run length.
+    """Parse text form: lowercase = generator, uppercase = inverse, ^k = exponent.
 
-    Tokens may be juxtaposed or whitespace-separated; `a^-3` expands to three
-    inverse letters, `A^2` likewise.
+    Tokens may be juxtaposed or whitespace-separated; each token becomes one
+    run, so `a^-3` and `A^3` are both the single run (a, -3) and `a^0` is
+    empty.  Parsing costs O(tokens), whatever the exponents.
     """
-    letters: list[Letter] = []
-    pos = 0
-    text = text.strip()
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ValueError(f"cannot parse word at ...{text[pos:pos + 12]!r}")
-        token, _, exp_str = m.groups()
-        sign = -1 if token[0].isupper() else 1
+    runs: list[Run] = []
+    for token, exp_str, stray in _TOKEN_RE.findall(text):
+        if stray:
+            at = next(m.start() for m in _TOKEN_RE.finditer(text) if m.group(3))
+            raise ValueError(f"cannot parse word at ...{text[at:at + 12]!r}")
         gen = alphabet.index(token.lower())
-        exp = sign * (int(exp_str) if exp_str is not None else 1)
-        letters.extend(power(gen, exp).letters)
-        pos = m.end()
-    return Word(tuple(letters))
+        exp = int(exp_str) if exp_str else 1
+        if exp:
+            runs.append((gen, -exp if token[0].isupper() else exp))
+    return Word(runs)
 
 
 def format_word(alphabet: Alphabet, word: Word) -> str:
     """Compact run-length text form, e.g. t^-6a^-2ta^2; the empty word is ''."""
-    parts: list[str] = []
-    i = 0
-    letters = word.letters
-    while i < len(letters):
-        gen, sign = letters[i]
-        j = i
-        while j < len(letters) and letters[j] == (gen, sign):
-            j += 1
-        exp = sign * (j - i)
-        name = alphabet.names[gen]
-        parts.append(name if exp == 1 else f"{name}^{exp}")
-        i = j
-    return "".join(parts)
+    names = alphabet.names
+    return "".join(names[gen] if exp == 1 else f"{names[gen]}^{exp}"
+                   for gen, exp in word.runs)

@@ -43,6 +43,14 @@ class BaseGroup:
         """Monoid homomorphism from words over the base alphabet to G."""
         raise NotImplementedError
 
+    def power(self, gen: int, exp: int) -> Any:
+        """The element gen^exp; wreath evaluation calls this once per base run."""
+        return self.evaluate(power(gen, exp))
+
+    def canonical(self, value: Any) -> Any:
+        """Canonical representative of an element value read from outside."""
+        return value
+
     def canonical_word(self, element: Any) -> Word:
         """A fixed representative word for the element."""
         raise NotImplementedError
@@ -93,7 +101,10 @@ class IntegerGroup(BaseGroup):
         return -a
 
     def evaluate(self, word: Word) -> int:
-        return sum(sign for _gen, sign in word.letters)
+        return sum(exp for _gen, exp in word.runs)
+
+    def power(self, gen: int, exp: int) -> int:
+        return exp
 
     def canonical_word(self, element: int) -> Word:
         return power(0, element)
@@ -126,7 +137,13 @@ class CyclicGroup(BaseGroup):
         return (-a) % self.m
 
     def evaluate(self, word: Word) -> int:
-        return sum(sign for _gen, sign in word.letters) % self.m
+        return sum(exp for _gen, exp in word.runs) % self.m
+
+    def power(self, gen: int, exp: int) -> int:
+        return exp % self.m
+
+    def canonical(self, value: int) -> int:
+        return value % self.m
 
     def canonical_word(self, element: int) -> Word:
         return power(0, element % self.m)
@@ -174,13 +191,17 @@ class WordGroup(BaseGroup):
     def evaluate(self, word: Word) -> Word:
         return word.free_reduce()
 
+    def power(self, gen: int, exp: int) -> Word:
+        return power(gen, exp)
+
     def canonical_word(self, element: Word) -> Word:
         return element
 
     def palindromic_factorization(self, element: Word) -> list[Word]:
         if self._factorization is not None:
             return self._factorization(element)
-        return [Word((letter,)) for letter in element.letters]
+        return [power(gen, 1 if exp > 0 else -1)
+                for gen, exp in element.runs for _ in range(abs(exp))]
 
     def encode_value(self, element: Word) -> str:
         from .words import format_word
@@ -194,12 +215,14 @@ class WordGroup(BaseGroup):
 
 
 def base_from_name(name: str) -> BaseGroup:
-    """Parse a base-group tag: "Z" or "Zm:<modulus>"."""
+    """Parse a base-group tag: "Z", "Zm:<modulus>" or "free:<gen>,<gen>,..."."""
     if name == "Z":
         return IntegerGroup()
     if name.startswith("Zm:"):
         return CyclicGroup(int(name.split(":", 1)[1]))
-    raise ValueError(f"unknown base group {name!r} (want Z or Zm:<m>)")
+    if name.startswith("free:"):
+        return WordGroup(Alphabet(tuple(name.split(":", 1)[1].split(","))))
+    raise ValueError(f"unknown base group {name!r} (want Z, Zm:<m> or free:<gens>)")
 
 
 @dataclass(frozen=True)
@@ -261,22 +284,25 @@ def identity_element(ctx: WreathContext) -> WreathElement:
 
 def make_element(ctx: WreathContext, fn: dict[Point, Any] | LatticeFn,
                  shift: Point) -> WreathElement:
-    if not isinstance(fn, LatticeFn):
-        fn = LatticeFn(ctx.r, fn, ctx.base.identity())
+    """Element with the given lamps and shift; values are canonicalized, so a
+    value equal to the identity (such as 3 in Z_3) is dropped."""
+    base = ctx.base
+    fn = LatticeFn(ctx.r, {p: base.canonical(v) for p, v in fn.items()}, base.identity())
     return WreathElement(ctx, fn, tuple(shift))
 
 
 def evaluate_word(ctx: WreathContext, word: Word) -> WreathElement:
     """Operational semantics: base letters multiply the lamp under the cursor,
-    lattice letters move the cursor."""
+    lattice letters move the cursor.  One step per run: a base run g^k
+    multiplies by base.power(g, k), a lattice run moves the cursor k places."""
     base = ctx.base
     nb = ctx.base_size
     ident = base.identity()
     config: dict[Point, Any] = {}
     pos = [0] * ctx.r
-    for gen, sign in word.letters:
+    for gen, exp in word.runs:
         if gen < nb:
-            value = base.evaluate(Word(((gen, sign),)))
+            value = base.power(gen, exp)
             key = tuple(pos)
             combined = base.multiply(config.get(key, ident), value)
             if base.equal(combined, ident):
@@ -284,7 +310,7 @@ def evaluate_word(ctx: WreathContext, word: Word) -> WreathElement:
             else:
                 config[key] = combined
         elif gen < nb + ctx.r:
-            pos[gen - nb] += sign
+            pos[gen - nb] += exp
         else:
             raise ValueError(f"letter index {gen} outside alphabet {ctx.alphabet.names}")
     return WreathElement(ctx, LatticeFn(ctx.r, config, ident), tuple(pos))
@@ -319,5 +345,6 @@ def element_to_json(e: WreathElement) -> dict:
 def element_from_json(data: dict) -> WreathElement:
     base = base_from_name(data["base"])
     ctx = WreathContext(base, int(data["r"]))
-    fn = LatticeFn.from_json(data["fn"], zero=base.identity(), decode=base.decode_value)
+    fn = LatticeFn.from_json(data["fn"], zero=base.identity(),
+                             decode=lambda raw: base.canonical(base.decode_value(raw)))
     return WreathElement(ctx, fn, tuple(int(c) for c in data["shift"]))

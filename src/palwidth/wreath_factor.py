@@ -100,19 +100,17 @@ def inject(plan: SnakePlan, f: LatticeFn) -> Word:
     for p in f.support():
         if p not in slots:
             raise ValueError(f"support point {p} escapes the snake box")
-    letters: list[tuple[int, int]] = list(plan.head.letters)
-    core = plan.core.letters
-    for k, stop in enumerate(plan.stops):
-        letters.extend(f[stop].letters)
-        if k < len(core):
-            letters.append(core[k])
-    letters.extend(plan.tail.letters)
-    letters.extend(plan.trailing.letters)
-    return Word(tuple(letters))
-
-
-def _even_box_radius(piece: LatticeFn) -> int:
-    return piece.box_radius()
+    runs: list[tuple[int, int]] = list(plan.head.runs)
+    stops = iter(plan.stops)
+    for gen, exp in plan.core.runs:
+        step = (gen, 1 if exp > 0 else -1)
+        for _ in range(abs(exp)):
+            runs.extend(f[next(stops)].runs)
+            runs.append(step)
+    runs.extend(f[next(stops)].runs)
+    runs.extend(plan.tail.runs)
+    runs.extend(plan.trailing.runs)
+    return Word(runs)
 
 
 def _odd_box_radius(piece: LatticeFn, axis: int) -> int:
@@ -158,7 +156,7 @@ def _assemble(e: WreathElement, split, bound: int | None) -> Factorization:
         factors.extend(w for w in ctx.base.palindromic_factorization(split.gamma) if w)
 
     if not split.f0.is_zero():
-        plan = build_snake(ctx, _even_box_radius(split.f0), 0)
+        plan = build_snake(ctx, split.f0.box_radius(), 0)
         factors.append(inject(plan, split.f0))
 
     tail_axis_open = False
@@ -166,12 +164,12 @@ def _assemble(e: WreathElement, split, bound: int | None) -> Factorization:
         if piece.is_zero():
             continue
         plan = build_snake(ctx, _odd_box_radius(piece, axis0), axis0 + 1)
-        full = inject(plan, piece)
-        factors.append(Word(full.letters[:-1]))
+        palindrome, trailing = inject(plan, piece).split(-1)
+        factors.append(palindrome)
         if axis0 == ctx.r - 1:
             tail_axis_open = True  # its trailing inverse merges with the shift block
         else:
-            factors.append(Word(full.letters[-1:]))
+            factors.append(trailing)
 
     for axis0 in range(ctx.r - 1, -1, -1):
         exp = e.shift[axis0]

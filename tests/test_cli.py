@@ -56,6 +56,20 @@ def test_factor_wreath_general(tmp_path):
     run("verify", str(cert_path))
 
 
+def test_factor_wreath_reduces_cyclic_values(tmp_path):
+    # 4 is 1 in Z_3 and 3 is 0, so the element is one lamp at 0 and shift 1.
+    element = {"base": "Zm:3", "r": 1, "shift": [1],
+               "fn": {"r": 1, "entries": [{"pos": [0], "val": 4},
+                                          {"pos": [2], "val": 3}]}}
+    infile = tmp_path / "element.json"
+    infile.write_text(json.dumps(element))
+    cert_path = tmp_path / "cert.json"
+    run("factor", "wreath", "--in", str(infile), "--out", str(cert_path))
+    cert = json.loads(cert_path.read_text())
+    assert cert["input"]["fn"]["entries"] == [{"pos": [0], "val": 1}]
+    run("verify", str(cert_path))
+
+
 def test_factor_metabelian(tmp_path):
     cert_path = tmp_path / "cert.json"
     run("factor", "metabelian", "--word", "x1x2X1X2 x1^2", "--r", "2",

@@ -1,8 +1,16 @@
+import json
 import random
+import re
+import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from palwidth import Alphabet, EPSILON, Word, concat, format_word, parse_word, power
+from palwidth import (Alphabet, CyclicGroup, EPSILON, IntegerGroup, Word,
+                      WreathContext, concat, evaluate_word, factorize_wreath_z,
+                      format_word, lamp_element, parse_word, power)
+from palwidth.certificates import verify_certificate, wreath_certificate
 
 from gens import random_word
 
@@ -83,3 +91,156 @@ def test_alphabet_validation():
 
 def test_concat():
     assert concat([power(0, 2), power(1, -1)]) == parse_word(AT, "a a T")
+
+
+# ---------------------------------------------------------------------------
+# Run-length words against a unit-letter reference
+# ---------------------------------------------------------------------------
+
+# Example budget for every property below; never lowered to hide a failure.
+BUDGET = settings(max_examples=300, deadline=None, database=None)
+
+XYZ = Alphabet(("x", "y", "z"))
+
+unit_letters = st.lists(st.tuples(st.integers(0, 2), st.sampled_from((1, -1))),
+                        max_size=24).map(tuple)
+# Random letter lists are almost never palindromes, so mirror some of them.
+letter_words = st.one_of(unit_letters,
+                         unit_letters.map(lambda h: h + h[::-1]),
+                         unit_letters.map(lambda h: h + h[-2::-1]))
+run_lists = st.lists(st.tuples(st.integers(0, 2),
+                               st.integers(-6, 6).filter(bool)), max_size=12)
+
+
+def expand(runs):
+    return tuple((g, 1 if e > 0 else -1) for g, e in runs for _ in range(abs(e)))
+
+
+def ref_reduce(letters):
+    stack = []
+    for g, s in letters:
+        if stack and stack[-1] == (g, -s):
+            stack.pop()
+        else:
+            stack.append((g, s))
+    return tuple(stack)
+
+
+def ref_format(names, letters):
+    """Letter-by-letter grouping into name^count text."""
+    parts, k = [], 0
+    while k < len(letters):
+        j = k
+        while j < len(letters) and letters[j] == letters[k]:
+            j += 1
+        gen, sign = letters[k]
+        count = sign * (j - k)
+        parts.append(names[gen] if count == 1 else f"{names[gen]}^{count}")
+        k = j
+    return "".join(parts)
+
+
+@BUDGET
+@given(run_lists)
+def test_runs_are_maximal_and_expand_to_letters(runs):
+    w = Word(runs)
+    letters = expand(runs)
+    assert w.letters == letters
+    assert len(w) == len(letters)
+    assert w == Word(letters)
+    assert all(e != 0 for _, e in w.runs)
+    assert all(a[0] != b[0] or (a[1] > 0) != (b[1] > 0)
+               for a, b in zip(w.runs, w.runs[1:]))
+
+
+@BUDGET
+@given(letter_words)
+def test_format_parse_round_trip_matches_reference(letters):
+    w = Word(letters)
+    text = format_word(XYZ, w)
+    assert text == ref_format(XYZ.names, letters)
+    assert parse_word(XYZ, text).letters == letters
+
+
+@BUDGET
+@given(st.lists(st.tuples(st.sampled_from("xyzXYZ"), st.none() | st.integers(-7, 7),
+                          st.sampled_from(("", " "))), max_size=10))
+def test_parse_tokens_matches_reference(tokens):
+    text = "".join(name + ("" if exp is None else f"^{exp}") + gap
+                   for name, exp, gap in tokens)
+    letters = []
+    for name, exp, _ in tokens:
+        count = (1 if exp is None else exp) * (-1 if name.isupper() else 1)
+        letters += expand([(XYZ.index(name.lower()), count)] if count else [])
+    assert parse_word(XYZ, text).letters == tuple(letters)
+
+
+def same(word, letters):
+    """The run word spells exactly these letters, in canonical runs."""
+    return word.letters == letters and word == Word(letters) and len(word) == len(letters)
+
+
+@BUDGET
+@given(letter_words, letter_words)
+def test_operations_match_reference(a, b):
+    wa, wb = Word(a), Word(b)
+    assert wa.is_palindrome() == (a == a[::-1])
+    assert same(wa.reverse(), a[::-1])
+    assert same(wa.invert(), tuple((g, -s) for g, s in reversed(a)))
+    assert same(wa * wb, a + b)
+    assert same(concat([wa, wb, wa]), a + b + a)
+    assert same(wa.free_reduce(), ref_reduce(a))
+    assert same((wa * wb).free_reduce(), ref_reduce(a + b))
+    for k in range(-len(a), len(a) + 1):
+        head, tail = wa.split(k)
+        assert same(head, a[:k]) and same(tail, a[k:])
+
+
+def ref_walk(r, modulus, letters):
+    """Per-letter walk: generator 0 is the base letter, 1..r move the cursor."""
+    lamps, pos = {}, [0] * r
+    for g, s in letters:
+        if g == 0:
+            key = tuple(pos)
+            value = lamps.get(key, 0) + s
+            value = value % modulus if modulus else value
+            if value:
+                lamps[key] = value
+            else:
+                lamps.pop(key, None)
+        else:
+            pos[g - 1] += s
+    return lamps, tuple(pos)
+
+
+@BUDGET
+@given(st.integers(1, 3), st.sampled_from((None, 5)), st.data())
+def test_wreath_evaluation_matches_letter_walk(r, modulus, data):
+    runs = data.draw(st.lists(st.tuples(st.integers(0, r),
+                                        st.integers(-40, 40).filter(bool)), max_size=16))
+    base = IntegerGroup() if modulus is None else CyclicGroup(modulus)
+    e = evaluate_word(WreathContext(base, r), Word(runs))
+    assert (dict(e.fn.items()), e.shift) == ref_walk(r, modulus, expand(runs))
+
+
+def test_unary_blowup_stays_compressed():
+    w = parse_word(AT, "a^1000000000t")
+    assert len(w) == 1_000_000_001
+    assert w.runs == ((0, 10 ** 9), (1, 1))
+    start = time.perf_counter()
+    e = lamp_element({-3: 10 ** 9, 2: -7, 5: 10 ** 9 + 1}, 4)
+    fact = factorize_wreath_z(e)
+    cert = json.loads(json.dumps(wreath_certificate(e, fact, {})))
+    verify_certificate(cert)
+    assert time.perf_counter() - start < 5.0
+    assert sum(len(f) for f in fact.factors) > 2 * 10 ** 9
+    assert fact.count <= fact.bound
+
+
+def test_only_words_module_expands_letters():
+    src = Path(__file__).resolve().parent.parent / "src" / "palwidth"
+    offenders = [f"{path.name}:{n}" for path in sorted(src.glob("*.py"))
+                 if path.name != "words.py"
+                 for n, line in enumerate(path.read_text().splitlines(), 1)
+                 if re.search(r"\.letters\b", line)]
+    assert offenders == []

@@ -1,11 +1,13 @@
+import json
 import random
 
 import pytest
 
 from palwidth import (CyclicGroup, IntegerGroup, WordGroup, WreathContext,
-                      Alphabet, element_from_json, element_to_json,
-                      evaluate_word, identity_element, invert, make_element,
-                      multiply, parse_word)
+                      Alphabet, base_from_name, element_from_json, element_to_json,
+                      evaluate_word, factorize_wreath, identity_element, invert,
+                      make_element, multiply, parse_word)
+from palwidth.certificates import verify_certificate, wreath_certificate
 
 from gens import random_wreath_element
 
@@ -117,3 +119,30 @@ def test_json_round_trip():
         for _ in range(20):
             e = random_wreath_element(rng, ctx, 3, values, 3)
             assert element_from_json(element_to_json(e)) == e
+
+
+def test_cyclic_values_canonicalized_at_the_boundary():
+    ctx = WreathContext(CyclicGroup(3), 1)
+    e = make_element(ctx, {(0,): 4, (2,): 3, (5,): -1}, (1,))
+    assert dict(e.fn.items()) == {(0,): 1, (5,): 2}
+    raw = {"base": "Zm:3", "r": 1, "shift": [1],
+           "fn": {"r": 1, "entries": [{"pos": [0], "val": 4}, {"pos": [2], "val": 3},
+                                      {"pos": [5], "val": -1}]}}
+    assert element_from_json(raw) == e
+
+
+def test_free_base_round_trip_and_certificate():
+    base = base_from_name("free:a,b")
+    assert isinstance(base, WordGroup)
+    assert base.alphabet == Alphabet(("a", "b"))
+    for r in (1, 2):
+        ctx = WreathContext(base, r)
+        word = lambda text: parse_word(base.alphabet, text)
+        origin, e1 = (0,) * r, (1,) + (0,) * (r - 1)
+        e = make_element(ctx, {origin: word("a b^2 A"), e1: word("B^3 a^5"),
+                               tuple(-c for c in e1): word("a")}, e1)
+        data = json.loads(json.dumps(element_to_json(e)))
+        assert data["base"] == "free:a,b"
+        assert element_from_json(data) == e
+        fact = factorize_wreath(e)
+        verify_certificate(json.loads(json.dumps(wreath_certificate(e, fact, {}))))
