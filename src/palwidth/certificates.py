@@ -12,6 +12,7 @@ import json
 from typing import Any
 
 from .errors import VerificationError
+from .lattice import json_field, json_int, json_list, json_object, json_str
 from .metabelian import evaluate_word_flow, flow_from_json, flow_to_json
 from .metabelian import free_alphabet
 from .wreath import element_from_json, element_to_json, evaluate_word
@@ -70,26 +71,31 @@ def metabelian_certificate(element, factorization: Factorization, config: dict,
 
 
 def _check_factorization(cert: dict) -> None:
+    texts = [json_str(text, "factor")
+             for text in json_list(json_field(cert, "factors", "certificate"), "factors")]
+    count = json_int(json_field(cert, "count", "certificate"), "count")
+    bound = cert.get("bound")
+    if bound is not None:
+        json_int(bound, "bound")
+    transcript = json_object(cert.get("transcript", {}), "transcript")
     if cert["kind"] == "wreath-factorization":
-        element = element_from_json(cert["input"])
+        element = element_from_json(json_field(cert, "input", "certificate"))
         alphabet = element.ctx.alphabet
         evaluate = lambda w: evaluate_word(element.ctx, w)
     else:
-        element = flow_from_json(cert["input"])
+        element = flow_from_json(json_field(cert, "input", "certificate"))
         alphabet = free_alphabet(element.r)
         evaluate = lambda w: evaluate_word_flow(element.r, w)
-    factors = [parse_word(alphabet, text) for text in cert["factors"]]
-    for w, text in zip(factors, cert["factors"]):
+    factors = [parse_word(alphabet, text) for text in texts]
+    for w, text in zip(factors, texts):
         if not w.is_palindrome():
             raise VerificationError(f"factor {text!r} is not a palindrome")
     if evaluate(concat(factors)) != element:
         raise VerificationError("factor product does not evaluate to the input")
-    if len(factors) != cert["count"]:
+    if len(factors) != count:
         raise VerificationError("factor count does not match the certificate")
-    bound = cert.get("bound")
-    if bound is not None and cert["count"] > bound:
+    if bound is not None and count > bound:
         raise VerificationError("factor count exceeds the declared bound")
-    transcript = cert.get("transcript", {})
     if transcript.get("input_sha256") != sha256_of(cert["input"]):
         raise VerificationError("input hash mismatch")
     if transcript.get("factors_sha256") != sha256_of(cert["factors"]):
@@ -232,10 +238,10 @@ _CHECKERS = {
 }
 
 
-def verify_certificate(cert: dict) -> None:
+def verify_certificate(cert: Any) -> None:
     """Independently re-evaluate any certificate from its embedded data."""
-    kind = cert.get("kind")
-    checker = _CHECKERS.get(kind)
+    kind = json_object(cert, "certificate").get("kind")
+    checker = _CHECKERS.get(kind) if isinstance(kind, str) else None
     if checker is None:
         raise ValueError(f"cannot verify certificate kind {kind!r}")
     checker(cert)

@@ -18,7 +18,8 @@ from .errors import BudgetExceeded, HypothesisViolation, VerificationError
 from .lamplighter import (certify_width_three, lamp_element,
                           minimal_palindromic_length_bfs,
                           two_palindrome_decision, TwoPalDecomposition, LAMP_CTX)
-from .lattice import LatticeFn
+from .lattice import (LatticeFn, json_field, json_int, json_list, json_object,
+                      json_point, json_str)
 from .identities import commutator_three_palindromes, conjugate_factorization
 from .metabelian import evaluate_word_flow, flow_from_json, free_alphabet
 from .metabelian_factor import factorize_metabelian
@@ -60,16 +61,20 @@ def _load_wreath_element(args):
 
 def _load_flow_element(args):
     if args.infile:
-        data = _read_json(args.infile)
+        data = json_object(_read_json(args.infile), "flow element")
         if "word" in data:
-            r = int(data["r"])
-            return evaluate_word_flow(r, parse_word(free_alphabet(r), data["word"]))
+            r = json_int(data.get("r"), "rank")
+            word = parse_word(free_alphabet(r), json_str(data["word"], "word"))
+            return evaluate_word_flow(r, word)
         if "squares" in data:
             from .metabelian import SquareCoeffs, squares_to_element
 
-            r = int(data["r"])
-            coeffs = {(int(s["pair"][0]) - 1, int(s["pair"][1]) - 1):
-                      LatticeFn.from_json(s["fn"]) for s in data["squares"]}
+            r = json_int(data.get("r"), "rank")
+            coeffs = {}
+            for item in json_list(data["squares"], "squares"):
+                item = json_object(item, "square")
+                i, j = json_point(json_field(item, "pair", "square"), "pair")
+                coeffs[(i - 1, j - 1)] = LatticeFn.from_json(json_field(item, "fn", "square"))
             return squares_to_element(SquareCoeffs(r, coeffs))
         return flow_from_json(data)
     if args.word is not None:

@@ -13,6 +13,44 @@ from typing import Any, Callable, Iterable
 Point = tuple[int, ...]
 
 
+# -- JSON shape checks ----------------------------------------------------------
+# Loaders read untrusted JSON through these, so a wrong shape is a ValueError
+# (malformed input) rather than a TypeError deep inside the arithmetic.
+
+def json_object(data: Any, what: str) -> dict:
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(data).__name__}")
+    return data
+
+
+def json_field(data: dict, key: str, what: str) -> Any:
+    if key not in data:
+        raise ValueError(f"{what} has no {key!r} field")
+    return data[key]
+
+
+def json_list(data: Any, what: str) -> list:
+    if not isinstance(data, list):
+        raise ValueError(f"{what} must be a JSON list, not {type(data).__name__}")
+    return data
+
+
+def json_int(data: Any, what: str = "value") -> int:
+    if isinstance(data, bool) or not isinstance(data, int):
+        raise ValueError(f"{what} must be an integer, not {type(data).__name__}")
+    return data
+
+
+def json_str(data: Any, what: str) -> str:
+    if not isinstance(data, str):
+        raise ValueError(f"{what} must be a string, not {type(data).__name__}")
+    return data
+
+
+def json_point(data: Any, what: str) -> Point:
+    return tuple(json_int(c, what) for c in json_list(data, what))
+
+
 class LatticeFn:
     """Sparse map from Z^r points to nonzero values of some abelian-ish V."""
 
@@ -117,6 +155,13 @@ class LatticeFn:
         return sum(val for point, val in self._entries.items()
                    if tuple(c % 2 for c in point) == v)
 
+    def grid_sums(self) -> dict[Point, int]:
+        """Every coset sum over 2Z^r + v, keyed by v in {0,1}^r, in one pass."""
+        sums = dict.fromkeys(grid_vectors(self.r), 0)
+        for point, val in self._entries.items():
+            sums[tuple(c % 2 for c in point)] += val
+        return sums
+
     # -- serialization --------------------------------------------------------
 
     def to_json(self, encode: Callable[[Any], Any] = lambda v: v) -> dict:
@@ -126,11 +171,16 @@ class LatticeFn:
         }
 
     @classmethod
-    def from_json(cls, data: dict, zero: Any = 0,
-                  decode: Callable[[Any], Any] = lambda v: v) -> "LatticeFn":
-        r = int(data["r"])
-        entries = {tuple(int(c) for c in e["pos"]): decode(e["val"])
-                   for e in data["entries"]}
+    def from_json(cls, data: Any, zero: Any = 0,
+                  decode: Callable[[Any], Any] = json_int) -> "LatticeFn":
+        """Inverse of to_json; a malformed shape raises ValueError."""
+        data = json_object(data, "lattice function")
+        r = json_int(json_field(data, "r", "lattice function"), "lattice rank")
+        entries = {}
+        for item in json_list(json_field(data, "entries", "lattice function"), "entries"):
+            item = json_object(item, "lattice entry")
+            point = json_point(json_field(item, "pos", "lattice entry"), "entry pos")
+            entries[point] = decode(json_field(item, "val", "lattice entry"))
         return cls(r, entries, zero)
 
 

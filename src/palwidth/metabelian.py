@@ -11,9 +11,11 @@ coefficient functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from .errors import VerificationError
-from .lattice import LatticeFn, Point, zero_fn
+from .lattice import (LatticeFn, Point, json_field, json_int, json_list, json_object,
+                      json_point, zero_fn)
 from .words import Alphabet, Word, concat, power
 
 Edge = tuple[Point, int]  # (tail point, 0-based axis)
@@ -49,6 +51,8 @@ class FlowElement:
 
 def _check_divergence(r: int, shift: Point, edges: dict[Edge, int]) -> None:
     """Net outflow must be +1 at the origin, -1 at the shift, 0 elsewhere."""
+    if r < 1 or len(shift) != r:
+        raise ValueError(f"shift {shift} does not fit rank {r}")
     div: dict[Point, int] = {}
     for (point, axis), value in edges.items():
         if not 0 <= axis < r or len(point) != r:
@@ -265,8 +269,18 @@ def flow_to_json(e: FlowElement) -> dict:
     }
 
 
-def flow_from_json(data: dict) -> FlowElement:
-    r = int(data["r"])
-    edges = {(tuple(int(c) for c in item["pos"]), int(item["axis"]) - 1):
-             int(item["val"]) for item in data["edges"]}
-    return FlowElement(r, tuple(int(c) for c in data["shift"]), _clean(edges))
+def flow_from_json(data: Any) -> FlowElement:
+    """Inverse of flow_to_json; a malformed shape raises ValueError."""
+    data = json_object(data, "flow element")
+    r = json_int(json_field(data, "r", "flow element"), "rank")
+    edges: dict[Edge, int] = {}
+    for item in json_list(json_field(data, "edges", "flow element"), "edges"):
+        item = json_object(item, "flow edge")
+        key = (json_point(json_field(item, "pos", "flow edge"), "edge pos"),
+               json_int(json_field(item, "axis", "flow edge"), "edge axis") - 1)
+        edges[key] = json_int(json_field(item, "val", "flow edge"), "edge value")
+    shift = json_point(json_field(data, "shift", "flow element"), "shift")
+    try:
+        return FlowElement(r, shift, _clean(edges))
+    except VerificationError as exc:  # a flow that is not a path: malformed input
+        raise ValueError(f"not a group element: {exc}") from None

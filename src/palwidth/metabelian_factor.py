@@ -4,8 +4,16 @@ Pipeline for an arbitrary element: strip the abelianization as at most r
 generator powers, zero every doubled-grid sum of the commutator coefficients
 with battlement correction words, split each corrected coefficient function
 into skew-symmetric pieces about fixed half-integer centers, and spell each
-bundle of pieces as a palindrome conjugated by at most one generator.  All
-products are verified in the flow model.
+bundle of pieces as a palindrome conjugated by at most one generator.
+
+Each stage is an unchecked private builder.  `factorize_metabelian` chains
+them and checks its output once, at its boundary: every factor is a literal
+palindrome, the product evaluates to the input in the flow model, and the
+count is within the bound.  The public stage functions (`palindromize_skew`,
+`palindromize_conjugated`, `palindromize_gridzero`) wrap their builder with
+the same exact check on their own output.  `battlement_correct` re-extracts
+the corrected element to check its grid sums, and the pipeline reuses those
+coefficients rather than extracting them again.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import HypothesisViolation, VerificationError
-from .lattice import LatticeFn, Point, grid_vectors
+from .lattice import LatticeFn, Point
 from .metabelian import (FlowElement, Pair, SquareCoeffs, circulation_to_squares,
                          evaluate_word_flow, invert_flow, lattice_word,
                          multiply_flow, squares_to_element)
@@ -38,24 +46,38 @@ def _is_skew_about(fn: LatticeFn, two_c: Point) -> bool:
                for p, v in fn.items())
 
 
-def palindromize_skew(coeffs: SquareCoeffs) -> Word:
-    """Single palindrome for coefficients skew about -(e_i + e_j)/2.
+def _require_skew(coeffs: SquareCoeffs, p: Point) -> None:
+    """Hypothesis of the skew spellings: each pair's coefficient function is
+    skew about p - (e_i + e_j)/2."""
+    for pair in coeffs.pairs():
+        i, j = pair
+        two_c = tuple(2 * c + d for c, d in zip(p, _pair_center(coeffs.r, pair)))
+        if not _is_skew_about(coeffs.coeffs[pair], two_c):
+            where = f"-(e_{i + 1}+e_{j + 1})/2" + (f" + {p}" if any(p) else "")
+            raise HypothesisViolation(
+                f"coefficient for pair {(i + 1, j + 1)} is not skew about {where}")
 
-    Support points pair up as {u, -u - e_i - e_j}; spelling only the
-    lexicographically larger representative of each pair as u rho^f(u) u^-1
-    and appending the reversal of the whole prefix supplies the partners,
-    so the output is literally of the form G реverse(G).
-    """
+
+def _check_palindromes(factors: list[Word], stage: str) -> None:
+    for w in factors:
+        if not w.is_palindrome():
+            raise VerificationError(f"{stage} emitted a non-palindrome")
+
+
+def _check_product(r: int, factors: list[Word], target: FlowElement, stage: str) -> None:
+    """Exact check that the factors multiply to target in the flow model."""
+    if evaluate_word_flow(r, concat(factors)) != target:
+        raise VerificationError(f"{stage} factor product does not evaluate back")
+
+
+def _skew_palindrome(coeffs: SquareCoeffs) -> Word:
+    """Unchecked builder behind palindromize_skew."""
     r = coeffs.r
     parts: list[Word] = []
     for pair in reversed(coeffs.pairs()):
         i, j = pair
         fn = coeffs.coeffs[pair]
         two_c = _pair_center(r, pair)
-        if not _is_skew_about(fn, two_c):
-            raise HypothesisViolation(
-                f"coefficient for pair {(i + 1, j + 1)} is not skew about "
-                f"-(e_{i + 1}+e_{j + 1})/2")
         rho = Word(((i, 1), (j, 1), (i, -1), (j, -1)))
         reps = sorted(
             (p for p, _ in fn.items()
@@ -67,38 +89,47 @@ def palindromize_skew(coeffs: SquareCoeffs) -> Word:
                 [rho.invert()] * (-value))
             parts.append(m * core * m.invert())
     half = concat(parts)
-    word = half * half.reverse()
-    if not word.is_palindrome():
-        raise VerificationError("skew spelling is not a palindrome")
-    if evaluate_word_flow(r, word) != squares_to_element(coeffs):
-        raise VerificationError("skew palindrome does not evaluate to the element")
+    return half * half.reverse()
+
+
+def palindromize_skew(coeffs: SquareCoeffs) -> Word:
+    """Single palindrome for coefficients skew about -(e_i + e_j)/2.
+
+    Support points pair up as {u, -u - e_i - e_j}; spelling only the
+    lexicographically larger representative of each pair as u rho^f(u) u^-1
+    and appending the reversal of the whole prefix supplies the partners,
+    so the output is literally of the form G реverse(G).
+    """
+    _require_skew(coeffs, (0,) * coeffs.r)
+    word = _skew_palindrome(coeffs)
+    _check_palindromes([word], "skew spelling")
+    _check_product(coeffs.r, [word], squares_to_element(coeffs), "skew spelling")
     return word
 
 
-def palindromize_conjugated(coeffs: SquareCoeffs, p: Point) -> list[Word]:
-    """Factor list [monomial(p), palindrome, monomial(p)^-1] for coefficients
-    skew about p - (e_i + e_j)/2; the monomials vanish when p = 0."""
+def _conjugated_factors(coeffs: SquareCoeffs, p: Point) -> list[Word]:
+    """Unchecked builder behind palindromize_conjugated."""
     r = coeffs.r
     p = tuple(p)
     shifted = SquareCoeffs(
         r, {pair: fn.shift(tuple(-c for c in p))
             for pair, fn in coeffs.coeffs.items()})
-    pal = palindromize_skew(shifted)
     m = lattice_word(r, p)
-    factors = [w for w in (m, pal, m.invert()) if w]
-    target = squares_to_element(coeffs)
-    product = evaluate_word_flow(r, concat(factors))
-    if product != target:
-        raise VerificationError("conjugated spelling does not evaluate back")
+    return [w for w in (m, _skew_palindrome(shifted), m.invert()) if w]
+
+
+def palindromize_conjugated(coeffs: SquareCoeffs, p: Point) -> list[Word]:
+    """Factor list [monomial(p), palindrome, monomial(p)^-1] for coefficients
+    skew about p - (e_i + e_j)/2; the monomials vanish when p = 0."""
+    _require_skew(coeffs, tuple(p))
+    factors = _conjugated_factors(coeffs, p)
+    _check_product(coeffs.r, factors, squares_to_element(coeffs), "conjugated spelling")
     return factors
 
 
-def palindromize_gridzero(h: FlowElement) -> Factorization:
-    """At most 3r+1 palindromes for a shift-zero element whose coefficient
-    grid sums cancel in the pairs matched by each commutator's center
-    (all-zero grid sums, the usual hypothesis, always qualify)."""
-    r = h.r
-    coeffs = circulation_to_squares(h)
+def _gridzero_factors(coeffs: SquareCoeffs) -> list[Word]:
+    """Unchecked builder behind palindromize_gridzero, from the coefficients."""
+    r = coeffs.r
     bundles: list[dict[Pair, LatticeFn]] = [{} for _ in range(r + 1)]
     for pair in coeffs.pairs():
         pieces = skew_split_fixed_centers(coeffs.coeffs[pair], _pair_center(r, pair))
@@ -110,13 +141,18 @@ def palindromize_gridzero(h: FlowElement) -> Factorization:
         if not bundle:
             continue
         p = tuple(1 if k == alpha - 1 else 0 for k in range(r)) if alpha else (0,) * r
-        factors.extend(palindromize_conjugated(SquareCoeffs(r, bundle), p))
-    for w in factors:
-        if not w.is_palindrome():
-            raise VerificationError("grid-zero stage emitted a non-palindrome")
-    if evaluate_word_flow(r, concat(factors)) != h:
-        raise VerificationError("grid-zero factor product does not evaluate back")
-    return Factorization(factors, 3 * r + 1)
+        factors.extend(_conjugated_factors(SquareCoeffs(r, bundle), p))
+    return factors
+
+
+def palindromize_gridzero(h: FlowElement) -> Factorization:
+    """At most 3r+1 palindromes for a shift-zero element whose coefficient
+    grid sums cancel in the pairs matched by each commutator's center
+    (all-zero grid sums, the usual hypothesis, always qualify)."""
+    factors = _gridzero_factors(circulation_to_squares(h))
+    _check_palindromes(factors, "grid-zero stage")
+    _check_product(h.r, factors, h, "grid-zero stage")
+    return Factorization(factors, 3 * h.r + 1)
 
 
 @dataclass
@@ -132,6 +168,7 @@ class BattlementEntry:
 class BattlementPlan:
     entries: list[BattlementEntry]
     per_word_bound: int   # 2r + 3
+    corrected_coeffs: SquareCoeffs  # re-extracted from h * word; grid sums all zero
 
     @property
     def word(self) -> Word:
@@ -189,47 +226,44 @@ def battlement_correct(h: FlowElement) -> tuple[BattlementPlan, FlowElement]:
     coeffs = circulation_to_squares(h)
     entries: list[BattlementEntry] = []
     for pair in coeffs.pairs():
-        fn = coeffs.coeffs[pair]
-        for v in grid_vectors(r):
-            amount = fn.grid_sum(v)
+        for v, amount in coeffs.coeffs[pair].grid_sums().items():
             if amount == 0:
                 continue
             word, factors = _battlement_word(r, pair, v, amount)
             entries.append(BattlementEntry(pair, v, amount, word, factors))
-    plan = BattlementPlan(entries, 2 * r + 3)
+    per_word_bound = 2 * r + 3
     for entry in entries:
-        if len(entry.factors) > plan.per_word_bound:
+        if len(entry.factors) > per_word_bound:
             raise VerificationError("battlement word exceeds its palindrome budget")
         if concat(entry.factors) != entry.word:
             raise VerificationError("battlement pre-split does not spell the word")
         for w in entry.factors:
             if not w.is_palindrome():
                 raise VerificationError("battlement pre-split factor not a palindrome")
-    corrected = multiply_flow(h, evaluate_word_flow(r, plan.word))
+    corrected = multiply_flow(h, evaluate_word_flow(r, concat([e.word for e in entries])))
     check = circulation_to_squares(corrected)
     for pair in check.pairs():
-        for v in grid_vectors(r):
-            if check.coeffs[pair].grid_sum(v) != 0:
-                raise VerificationError("battlement correction left a nonzero grid sum")
-    return plan, corrected
+        if any(check.coeffs[pair].grid_sums().values()):
+            raise VerificationError("battlement correction left a nonzero grid sum")
+    return BattlementPlan(entries, per_word_bound, check), corrected
 
 
 def factorize_metabelian(g: FlowElement) -> Factorization:
-    """Verified palindromic factorization of any element, within the printed bound."""
+    """Verified palindromic factorization of any element, within the printed bound.
+
+    The stages run unchecked; the product of the returned factors is checked
+    once, exactly, against g.
+    """
     r = g.r
     shift_parts = [power(axis, exp) for axis, exp in enumerate(g.shift) if exp]
     shift_word = concat(shift_parts)
     h = multiply_flow(g, invert_flow(evaluate_word_flow(r, shift_word)))
 
-    plan, corrected = battlement_correct(h)
-    core = palindromize_gridzero(corrected)
-    factors = core.factors + plan.inverse_factors() + shift_parts
-
-    for w in factors:
-        if not w.is_palindrome():
-            raise VerificationError("metabelian factor is not a palindrome")
-    if evaluate_word_flow(r, concat(factors)) != g:
-        raise VerificationError("metabelian factor product does not evaluate back")
+    plan, _ = battlement_correct(h)
+    factors = (_gridzero_factors(plan.corrected_coeffs) + plan.inverse_factors()
+               + shift_parts)
+    _check_palindromes(factors, "metabelian pipeline")
+    _check_product(r, factors, g, "metabelian pipeline")
     bound = metabelian_width_bound(r)
     if len(factors) > bound:
         raise VerificationError(f"{len(factors)} factors exceed the bound {bound}")

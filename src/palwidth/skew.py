@@ -19,6 +19,7 @@ Every public operation re-verifies its output before returning it.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .errors import HypothesisViolation, VerificationError
@@ -212,6 +213,19 @@ def _transport(f: LatticeFn, centers: list[Point], step: int) -> list[SkewPiece]
     r = f.r
     residual = dict(f.items())
     dipoles: list[list[tuple[Point, int]]] = [[] for _ in centers]
+    # Max-heap (points negated) of every point that entered the residual off
+    # its representative; entries that left the residual since are skipped.
+    heap: list[Point] = []
+
+    def canonical(u: Point) -> Point:
+        return tuple(c % step if step > 1 else 0 for c in u)
+
+    def enter(u: Point) -> None:
+        if u != canonical(u):
+            heapq.heappush(heap, tuple(-c for c in u))
+
+    for u in residual:
+        enter(u)
 
     def reflect(u: Point, alpha: int) -> Point:
         return tuple(c - x for c, x in zip(centers[alpha], u))
@@ -225,6 +239,8 @@ def _transport(f: LatticeFn, centers: list[Point], step: int) -> list[SkewPiece]
         residual[dest] = residual.get(dest, 0) + v
         if residual[dest] == 0:
             del residual[dest]
+        else:
+            enter(dest)
         return dest
 
     def translate(u: Point, alpha_first: int, alpha_second: int) -> None:
@@ -240,9 +256,8 @@ def _transport(f: LatticeFn, centers: list[Point], step: int) -> list[SkewPiece]
         residual[end] = residual.get(end, 0) + v
         if residual[end] == 0:
             del residual[end]
-
-    def canonical(u: Point) -> Point:
-        return tuple(c % step if step > 1 else 0 for c in u)
+        else:
+            enter(end)
 
     guard = 0
     limit = 8 * (sum(sum(abs(c) for c in p) + 2 * r for p in f.support()) + 4 ** r + 4)
@@ -250,8 +265,9 @@ def _transport(f: LatticeFn, centers: list[Point], step: int) -> list[SkewPiece]
         guard += 1
         if guard > max(limit, 10_000):
             raise VerificationError("transport failed to terminate")
-        pending = [u for u in residual if u != canonical(u)]
-        if not pending:
+        while heap and tuple(-c for c in heap[0]) not in residual:
+            heapq.heappop(heap)
+        if not heap:
             # Everything sits on representatives; cancel the lex-greatest
             # against its paired class through the base reflection.
             u = max(residual)
@@ -260,7 +276,7 @@ def _transport(f: LatticeFn, centers: list[Point], step: int) -> list[SkewPiece]
                                           "cannot cancel (self-paired class)")
             half_move(u, 0)
             continue
-        u = max(pending)
+        u = tuple(-c for c in heapq.heappop(heap))
         target = canonical(u)
         axis = next(j for j in range(r) if u[j] != target[j])
         if u[axis] > target[axis]:
@@ -282,16 +298,15 @@ def skew_split_fixed_centers(f: LatticeFn, two_c: Point) -> list[SkewPiece]:
     two_c = tuple(two_c)
     if len(two_c) != f.r:
         raise ValueError("center dimension mismatch")
-    for v in grid_vectors(f.r):
+    sums = f.grid_sums()
+    for v, total in sums.items():
         partner = tuple((c - e) % 2 for c, e in zip(two_c, v))
         if partner == v:
-            if f.grid_sum(v) != 0:
-                raise HypothesisViolation(f"grid {v} is self-paired and sums to "
-                                          f"{f.grid_sum(v)}")
-        elif f.grid_sum(v) + f.grid_sum(partner) != 0:
+            if total != 0:
+                raise HypothesisViolation(f"grid {v} is self-paired and sums to {total}")
+        elif total + sums[partner] != 0:
             raise HypothesisViolation(
-                f"grids {v} and {partner} sum to {f.grid_sum(v)} + "
-                f"{f.grid_sum(partner)} != 0")
+                f"grids {v} and {partner} sum to {total} + {sums[partner]} != 0")
     if f.is_zero():
         return _zero_pieces(f.r, two_c, step=2)
     pieces = _transport(f, _centers(two_c, step=2), step=2)
@@ -314,9 +329,9 @@ def skew_split_grid(f: LatticeFn, p: Point) -> list[SkewPiece]:
     if len(p) != f.r:
         raise ValueError("center dimension mismatch")
     r = f.r
-    for v in grid_vectors(r):
-        if f.grid_sum(v) != 0:
-            raise HypothesisViolation(f"grid {v} sums to {f.grid_sum(v)}, not 0")
+    for v, total in f.grid_sums().items():
+        if total != 0:
+            raise HypothesisViolation(f"grid {v} sums to {total}, not 0")
     totals = [zero_fn(r) for _ in range(r + 1)]
     for v in grid_vectors(r):
         part = {point: val for point, val in f.items()

@@ -199,15 +199,22 @@ def parse_word(alphabet: Alphabet, text: str) -> Word:
     run, so `a^-3` and `A^3` are both the single run (a, -3) and `a^0` is
     empty.  Parsing costs O(tokens), whatever the exponents.
     """
+    table: dict[str, Letter] = {}
+    for gen, name in enumerate(alphabet.names):
+        table[name] = (gen, 1)
+        table[name.upper()] = (gen, -1)
     runs: list[Run] = []
     for token, exp_str, stray in _TOKEN_RE.findall(text):
         if stray:
             at = next(m.start() for m in _TOKEN_RE.finditer(text) if m.group(3))
             raise ValueError(f"cannot parse word at ...{text[at:at + 12]!r}")
-        gen = alphabet.index(token.lower())
+        letter = table.get(token)
+        if letter is None:
+            alphabet.index(token.lower())  # not a generator name, so this raises
+        gen, sign = letter
         exp = int(exp_str) if exp_str else 1
         if exp:
-            runs.append((gen, -exp if token[0].isupper() else exp))
+            runs.append((gen, sign * exp))
     return Word(runs)
 
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .lattice import LatticeFn, Point
+from .lattice import (LatticeFn, Point, json_field, json_int, json_object,
+                      json_point, json_str)
 from .words import Alphabet, EPSILON, Word, power
 
 
@@ -106,6 +107,9 @@ class IntegerGroup(BaseGroup):
     def power(self, gen: int, exp: int) -> int:
         return exp
 
+    def decode_value(self, raw: Any) -> int:
+        return json_int(raw, "lamp value")
+
     def canonical_word(self, element: int) -> Word:
         return power(0, element)
 
@@ -144,6 +148,9 @@ class CyclicGroup(BaseGroup):
 
     def canonical(self, value: int) -> int:
         return value % self.m
+
+    def decode_value(self, raw: Any) -> int:
+        return json_int(raw, "lamp value")
 
     def canonical_word(self, element: int) -> Word:
         return power(0, element % self.m)
@@ -208,10 +215,10 @@ class WordGroup(BaseGroup):
 
         return format_word(self.alphabet, element)
 
-    def decode_value(self, raw: str) -> Word:
+    def decode_value(self, raw: Any) -> Word:
         from .words import parse_word
 
-        return parse_word(self.alphabet, raw).free_reduce()
+        return parse_word(self.alphabet, json_str(raw, "lamp value")).free_reduce()
 
 
 def base_from_name(name: str) -> BaseGroup:
@@ -342,9 +349,12 @@ def element_to_json(e: WreathElement) -> dict:
     }
 
 
-def element_from_json(data: dict) -> WreathElement:
-    base = base_from_name(data["base"])
-    ctx = WreathContext(base, int(data["r"]))
-    fn = LatticeFn.from_json(data["fn"], zero=base.identity(),
+def element_from_json(data: Any) -> WreathElement:
+    """Inverse of element_to_json; a malformed shape raises ValueError."""
+    data = json_object(data, "wreath element")
+    base = base_from_name(json_str(json_field(data, "base", "wreath element"), "base"))
+    ctx = WreathContext(base, json_int(json_field(data, "r", "wreath element"), "rank"))
+    fn = LatticeFn.from_json(json_field(data, "fn", "wreath element"), zero=base.identity(),
                              decode=lambda raw: base.canonical(base.decode_value(raw)))
-    return WreathElement(ctx, fn, tuple(int(c) for c in data["shift"]))
+    return WreathElement(ctx, fn, json_point(json_field(data, "shift", "wreath element"),
+                                             "shift"))

@@ -45,6 +45,20 @@ def grid_zero(rng: random.Random, r: int, radius: int, max_val: int) -> LatticeF
     return LatticeFn(r, entries)
 
 
+def dense_grid_zero(rng: random.Random, r: int, radius: int, max_val: int,
+                    points: int) -> LatticeFn:
+    """At least `points` nonzero values within the radius, every grid sum zero."""
+    entries = {}
+    while len(entries) < points:
+        entries[tuple(rng.randint(-radius, radius) for _ in range(r))] = \
+            rng.choice((-1, 1)) * rng.randint(1, max_val)
+    for v in grid_vectors(r):
+        s = LatticeFn(r, entries).grid_sum(v)
+        if s:
+            entries[v] = entries.get(v, 0) - s
+    return LatticeFn(r, entries)
+
+
 def random_wreath_element(rng: random.Random, ctx: WreathContext, radius: int,
                           values, max_shift: int, max_points: int = 8):
     fn = {}

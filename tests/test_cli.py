@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 CLI = [sys.executable, "-m", "palwidth.cli"]
 
 EXPECTED_TABLE = [
@@ -117,6 +119,34 @@ def test_malformed_input_exit_code(tmp_path):
     assert proc.returncode == 1
     proc = run("factor", "wreath-z", check=False)  # neither --in nor --word
     assert proc.returncode == 1
+
+
+def _assert_one_line_error(proc):
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_malformed_wreath_entries(tmp_path):
+    bad = tmp_path / "element.json"
+    bad.write_text(json.dumps({"base": "Z", "r": 1, "shift": [0],
+                               "fn": {"r": 1, "entries": 5}}))
+    _assert_one_line_error(run("factor", "wreath", "--in", str(bad), check=False))
+
+
+@pytest.mark.parametrize("edges", [7, [{"pos": [0, 0], "axis": 1, "val": 1}]])
+def test_malformed_flow_edges(tmp_path, edges):
+    # The second flow leaves the origin and never arrives at the shift.
+    bad = tmp_path / "element.json"
+    bad.write_text(json.dumps({"r": 2, "shift": [0, 0], "edges": edges}))
+    _assert_one_line_error(run("factor", "metabelian", "--in", str(bad), check=False))
+
+
+def test_certificate_that_is_a_list(tmp_path):
+    bad = tmp_path / "cert.json"
+    bad.write_text("[1,2]")
+    _assert_one_line_error(run("verify", str(bad), check=False))
 
 
 def test_hypothesis_violation_exit_code(tmp_path):

@@ -59,6 +59,23 @@ def test_grid_sum_partition():
             assert f.add(g).grid_sum(v) == f.grid_sum(v) + g.grid_sum(v)
 
 
+def test_grid_sums_match_grid_sum():
+    rng = random.Random(12)
+    for _ in range(100):
+        r = rng.randint(1, 4)
+        f = random_lattice_int(rng, r, 4, 5)
+        assert f.grid_sums() == {v: f.grid_sum(v) for v in grid_vectors(r)}
+        assert list(f.grid_sums()) == grid_vectors(r)
+
+
+def test_from_json_rejects_bad_shapes():
+    for data in ([1, 2], {"r": 1}, {"r": 1, "entries": 5}, {"r": "1", "entries": []},
+                 {"r": 1, "entries": [7]}, {"r": 1, "entries": [{"pos": 0, "val": 1}]},
+                 {"r": 1, "entries": [{"pos": [0], "val": [1]}]}):
+        with pytest.raises(ValueError):
+            LatticeFn.from_json(data)
+
+
 def test_zero_values_never_stored():
     f = LatticeFn(1, {(0,): 1, (1,): 0})
     assert f.support() == ((0,),)

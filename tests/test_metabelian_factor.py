@@ -1,8 +1,12 @@
+import hashlib
 import random
 
 import pytest
 
-from palwidth import (HypothesisViolation, LatticeFn, SquareCoeffs, battlement_correct,
+from palwidth import metabelian_factor
+from palwidth.certificates import canonical_json, metabelian_certificate
+from palwidth import (HypothesisViolation, LatticeFn, SquareCoeffs, VerificationError,
+                      battlement_correct, power,
                       circulation_to_squares, concat, evaluate_word_flow,
                       factorize_metabelian, format_word, free_alphabet, grid_vectors,
                       identity_flow, multiply_flow, palindromize_conjugated,
@@ -221,3 +225,40 @@ def test_factorize_determinism():
     element = random_flow_element(rng, 2, 3, 2, 3)
     assert factorize_metabelian(element).factors == \
         factorize_metabelian(element).factors
+
+
+# sha256 of the canonical certificate text of the elements below, recorded
+# while every pipeline stage still re-evaluated its own output; the single
+# boundary check must leave every certificate byte-identical.
+GOLDEN_CERTS_SHA256 = "42f0ddce4f62064c9246dee97843909eb10e57a5c499a22b514936a387dbe4a1"
+
+
+def test_certificates_match_golden():
+    rng = random.Random(20261018)
+    lines = []
+    for r, radius, points in ((2, 3, 6), (3, 2, 4), (4, 1, 2)):
+        for _ in range(4):
+            element = random_flow_element(rng, r, radius, 5, 3, points)
+            cert = metabelian_certificate(element, factorize_metabelian(element), {})
+            lines.append(canonical_json(cert))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == GOLDEN_CERTS_SHA256
+
+
+def _padded_skew(build):
+    # x1^2 w x1^2 is still a palindrome, but it moves the product.
+    return lambda coeffs: power(0, 2) * build(coeffs) * power(0, 2)
+
+
+def _extra_palindrome(build):
+    return lambda coeffs: build(coeffs) + [power(1, 3)]
+
+
+@pytest.mark.parametrize("name, tamper", [("_skew_palindrome", _padded_skew),
+                                          ("_gridzero_factors", _extra_palindrome)])
+def test_boundary_check_catches_tampered_stage(monkeypatch, name, tamper):
+    element = random_flow_element(random.Random(9), 3, 2, 3, 2, points_per_pair=4)
+    assert factorize_metabelian(element).count > 0
+    monkeypatch.setattr(metabelian_factor, name, tamper(getattr(metabelian_factor, name)))
+    with pytest.raises(VerificationError):
+        factorize_metabelian(element)

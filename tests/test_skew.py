@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -6,7 +8,7 @@ from palwidth import (HypothesisViolation, LatticeFn, SkewPiece,
                       skew_split_fixed_centers, skew_split_grid, skew_split_half,
                       zero_fn)
 
-from gens import grid_zero, zero_sum
+from gens import dense_grid_zero, grid_zero, zero_sum
 
 
 def pieces_sum(pieces, r):
@@ -181,3 +183,18 @@ def test_same_center_pieces_add():
         for x, y in zip(pa, pb):
             merged = SkewPiece(x.fn.add(y.fn), x.two_center)
             assert merged.is_valid()
+
+
+# sha256 of the pieces that the transport returned on the input below when it
+# still rescanned the whole residual for every move; picking moves from a
+# heap must not change a single dipole.
+DENSE_PIECES_SHA256 = "7843b7ec3bdaf3af8c4c419496d9c1b8c422996dae5552f8aab7a81254d00e82"
+
+
+def test_fixed_centers_dense_pieces_pinned():
+    f = dense_grid_zero(random.Random(280), 2, 12, 9, 280)
+    assert f.support_size() == 282
+    pieces = skew_split_fixed_centers(f, (-1, -1))
+    blob = json.dumps([[list(p.two_center), p.fn.to_json()] for p in pieces],
+                      sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == DENSE_PIECES_SHA256

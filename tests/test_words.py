@@ -73,6 +73,15 @@ def test_parse_run_length_and_case():
         parse_word(AT, "b")
 
 
+def test_parse_error_messages():
+    unknown = "unknown generator 'x4' (alphabet ('x1', 'x2', 'x3'))"
+    with pytest.raises(ValueError, match=f"^{re.escape(unknown)}$"):
+        parse_word(X3, "x1 X4^2")
+    stray = "cannot parse word at ...'^2 x1'"
+    with pytest.raises(ValueError, match=f"^{re.escape(stray)}$"):
+        parse_word(X3, "x2 ^2 x1")
+
+
 def test_format_round_trip():
     rng = random.Random(1)
     for _ in range(200):
