@@ -98,7 +98,7 @@ def cmd_factor_wreath(args) -> int:
     fact = (factorize_wreath_z if args.variant == "wreath-z"
             else factorize_wreath)(element)
     cert = wreath_certificate(element, fact,
-                              {"command": f"factor {args.variant}", "seed": args.seed})
+                              {"command": f"factor {args.variant}"})
     _emit(cert, args.out)
     _log(f"{fact.count} palindromic factors (bound {fact.bound})")
     return 0
@@ -111,7 +111,7 @@ def cmd_factor_metabelian(args) -> int:
                  "bound_m": element.r * (element.r + 1) // 2,
                  "realized_pairs": element.r * (element.r - 1) // 2}
     cert = metabelian_certificate(element, fact,
-                                  {"command": "factor metabelian", "seed": args.seed},
+                                  {"command": "factor metabelian"},
                                   telemetry)
     _emit(cert, args.out)
     _log(f"{fact.count} palindromic factors (bound {fact.bound})")
@@ -374,8 +374,6 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="palwidth", description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed echoed into certificates")
     sub = parser.add_subparsers(dest="command", required=True)
 
     factor = sub.add_parser("factor", help="palindromic factorizations")

@@ -11,13 +11,14 @@ a A is not), never on a reduced form.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable
 
 _NAME_RE = re.compile(r"[a-z][0-9]*\Z")
 # One token (name, optional exponent) or one stray non-space character.
-_TOKEN_RE = re.compile(r"([A-Za-z][0-9]*)(?:\^(-?[0-9]+))?|(\S)")
+_TOKEN_RE = re.compile(r"[A-Za-z][0-9]*(?:\^-?[0-9]+)?|\S")
 
 Letter = tuple[int, int]  # (generator index, sign in {+1, -1})
 Run = tuple[int, int]     # (generator index, nonzero exponent)
@@ -197,29 +198,41 @@ def parse_word(alphabet: Alphabet, text: str) -> Word:
 
     Tokens may be juxtaposed or whitespace-separated; each token becomes one
     run, so `a^-3` and `A^3` are both the single run (a, -3) and `a^0` is
-    empty.  Parsing costs O(tokens), whatever the exponents.
+    empty.  Each distinct token is resolved once, so parsing costs O(tokens)
+    table lookups, whatever the exponents.  The first bad token, in text
+    order, names the error.
     """
-    table: dict[str, Letter] = {}
+    letters: dict[str, Letter] = {}
     for gen, name in enumerate(alphabet.names):
-        table[name] = (gen, 1)
-        table[name.upper()] = (gen, -1)
-    runs: list[Run] = []
-    for token, exp_str, stray in _TOKEN_RE.findall(text):
-        if stray:
-            at = next(m.start() for m in _TOKEN_RE.finditer(text) if m.group(3))
+        letters[name] = (gen, 1)
+        letters[name.upper()] = (gen, -1)
+    tokens = _TOKEN_RE.findall(text)
+    runs_of: dict[str, Run | None] = {}  # None for a zero exponent
+    kind_of: dict[str, int] = {}  # (generator, sign) as one int
+    size_of: dict[str, int] = {}
+    for token in dict.fromkeys(tokens):
+        if not (token.isascii() and token[0].isalpha()):
+            at = next(m.start() for m in _TOKEN_RE.finditer(text) if m.group() == token)
             raise ValueError(f"cannot parse word at ...{text[at:at + 12]!r}")
-        letter = table.get(token)
+        name, _, exp_str = token.partition("^")
+        letter = letters.get(name)
         if letter is None:
-            alphabet.index(token.lower())  # not a generator name, so this raises
+            alphabet.index(name.lower())  # not a generator name, so this raises
         gen, sign = letter
-        exp = int(exp_str) if exp_str else 1
-        if exp:
-            runs.append((gen, sign * exp))
-    return Word(runs)
+        exp = sign * int(exp_str) if exp_str else sign
+        runs_of[token] = (gen, exp) if exp else None
+        kind_of[token] = 2 * gen + (exp > 0)
+        size_of[token] = abs(exp)
+    runs = list(map(runs_of.__getitem__, tokens))
+    kinds = list(map(kind_of.__getitem__, tokens))
+    if None in runs_of.values() or any(map(operator.eq, kinds, kinds[1:])):
+        return Word(run for run in runs if run)  # merge neighbours, drop ^0
+    return Word._of(tuple(runs), sum(map(size_of.__getitem__, tokens)))
 
 
 def format_word(alphabet: Alphabet, word: Word) -> str:
     """Compact run-length text form, e.g. t^-6a^-2ta^2; the empty word is ''."""
     names = alphabet.names
-    return "".join(names[gen] if exp == 1 else f"{names[gen]}^{exp}"
-                   for gen, exp in word.runs)
+    text = {run: names[run[0]] if run[1] == 1 else f"{names[run[0]]}^{run[1]}"
+            for run in set(word.runs)}
+    return "".join(map(text.__getitem__, word.runs))

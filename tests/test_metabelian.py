@@ -2,8 +2,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from palwidth import (FlowElement, LatticeFn, SquareCoeffs, VerificationError,
+from palwidth import (FlowElement, LatticeFn, SquareCoeffs, VerificationError, Word,
                       circulation_to_squares, element_to_word, evaluate_word_flow,
                       flow_from_json, flow_to_json, free_alphabet, identity_flow,
                       invert_flow, lattice_word, multiply_flow, parse_word,
@@ -31,6 +32,41 @@ def test_word_times_inverse_is_identity():
     for _ in range(100):
         w = random_word(rng, 2, 12)
         assert evaluate_word_flow(2, w * w.invert()) == identity_flow(2)
+
+
+def ref_flow_walk(r, runs):
+    """Letter-by-letter walk with tuple points; edges in first-passage order."""
+    edges, pos = {}, [0] * r
+    for gen, exp in runs:
+        for _ in range(abs(exp)):
+            if exp < 0:
+                pos[gen] -= 1
+            key = (tuple(pos), gen)
+            edges[key] = edges.get(key, 0) + (1 if exp > 0 else -1)
+            if exp > 0:
+                pos[gen] += 1
+    return tuple(pos), [(e, v) for e, v in edges.items() if v]
+
+
+ranked_runs = st.integers(1, 5).flatmap(lambda r: st.tuples(st.just(r), st.lists(
+    st.tuples(st.integers(0, r - 1), st.integers(-40, 40).filter(bool)), max_size=16)))
+
+
+# Example budget; never lowered to hide a failure.
+@settings(max_examples=300, deadline=None, database=None)
+@given(ranked_runs, st.integers(0, 16), st.integers(0, 3), st.sampled_from((1, -1, 7)))
+@example((1, []), 0, 0, 1)  # the empty word
+@example((5, []), 0, 3, -1)
+def test_flow_evaluation_matches_letter_walk(ranked, at, offset, exp):
+    r, runs = ranked
+    word = Word(runs)
+    flow = evaluate_word_flow(r, word)
+    shift, edges = ref_flow_walk(r, word.runs)
+    assert flow.shift == shift
+    assert list(flow.edges.items()) == edges
+    at = min(at, len(runs))
+    with pytest.raises(ValueError, match=f"letter index {r + offset} outside rank-{r}"):
+        evaluate_word_flow(r, Word(runs[:at] + [(r + offset, exp)] + runs[at:]))
 
 
 def test_noncommuting_generators():

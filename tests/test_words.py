@@ -171,10 +171,38 @@ def test_format_parse_round_trip_matches_reference(letters):
     assert parse_word(XYZ, text).letters == letters
 
 
+def ref_first_error(text):
+    """The error for the first bad token, scanning by hand; None if all parse."""
+    digits = "0123456789"
+    k = 0
+    while k < len(text):
+        if text[k] == " ":
+            k += 1
+        elif text[k] in "xyzXYZ":
+            j = k + 1
+            while j < len(text) and text[j] in digits:
+                j += 1
+            name = text[k:j].lower()
+            if name not in XYZ.names:
+                return f"unknown generator {name!r} (alphabet {XYZ.names})"
+            if text[j:j + 1] == "^":
+                m = j + 2 if text[j + 1:j + 2] == "-" else j + 1
+                end = m
+                while end < len(text) and text[end] in digits:
+                    end += 1
+                if end > m:
+                    j = end
+            k = j
+        else:
+            return f"cannot parse word at ...{text[k:k + 12]!r}"
+    return None
+
+
 @BUDGET
 @given(st.lists(st.tuples(st.sampled_from("xyzXYZ"), st.none() | st.integers(-7, 7),
-                          st.sampled_from(("", " "))), max_size=10))
-def test_parse_tokens_matches_reference(tokens):
+                          st.sampled_from(("", " "))), max_size=10),
+       st.sampled_from("^!0123456789"), st.integers(0, 60))
+def test_parse_tokens_matches_reference(tokens, stray, at):
     text = "".join(name + ("" if exp is None else f"^{exp}") + gap
                    for name, exp, gap in tokens)
     letters = []
@@ -182,6 +210,15 @@ def test_parse_tokens_matches_reference(tokens):
         count = (1 if exp is None else exp) * (-1 if name.isupper() else 1)
         letters += expand([(XYZ.index(name.lower()), count)] if count else [])
     assert parse_word(XYZ, text).letters == tuple(letters)
+    at = min(at, len(text))
+    bad = text[:at] + stray + text[at:]
+    expected = ref_first_error(bad)
+    if expected is None:  # the character joined a token, e.g. a digit in an exponent
+        parse_word(XYZ, bad)
+    else:
+        with pytest.raises(ValueError) as info:
+            parse_word(XYZ, bad)
+        assert str(info.value) == expected
 
 
 def same(word, letters):
