@@ -1,14 +1,22 @@
 """Palindromicity certificates for the integer lamplighter group Z wr Z.
 
 Contains the symmetric-configuration characterization of one-palindrome
-elements, an exact per-center decision procedure for two-palindrome
-products, a scanning certifier, and an exhaustive minimal-length oracle.
+elements, an exact per-center decision for two-palindrome products, a
+scanning certifier, and an exhaustive minimal-length oracle.
+
+The decision is in closed form.  A target (f, k) is (g, p)(h, k - p) with
+both factors palindromic exactly when, for k != 0 and m = |k|,
+S(c) = S((p - c) mod m) for every residue c, where S(c) is the sum of f over
+x = c mod m; and, for k = 0, when f is symmetric about p/2.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 from .errors import BudgetExceeded, HypothesisViolation, VerificationError
 from .lattice import LatticeFn
@@ -81,118 +89,58 @@ def _lamps(e: WreathElement) -> dict[int, int]:
     return {p[0]: v for p, v in e.fn.items()}
 
 
-def _window(f: dict[int, int], k: int, p: int) -> tuple[int, int]:
-    """Interval outside which every finitely supported solution vanishes.
-
-    Base interval: min/max of {0, p, k, supp f} padded by |k| + 2.  For k != 0
-    the solution is unique and its support lies within the reflection-chain
-    bounds computed from where the propagation jumps can hit supp f; the
-    window is the hull of both.
-    """
-    pts = [0, p, k] + list(f)
-    lo, hi = min(pts) - abs(k) - 2, max(pts) + abs(k) + 2
-    if f and k != 0:
-        min_f, max_f = min(f), max(f)
-        if k > 0:
-            a = max(p - min_f, max_f - k)       # g support within [p - a, a]
-            b = min(p + k - max_f, min_f + k)   # h0 support within [b, p + k - b]
-            hull = [a, p - a, b, p + k - b]
-        else:
-            a = min(p - max_f, min_f - k)
-            b = max(p + k - min_f, max_f + k)
-            hull = [a, p - a, b, p + k - b]
-        lo = min([lo] + [c - 2 for c in hull])
-        hi = max([hi] + [c + 2 for c in hull])
-    return lo, hi
-
-
 def two_palindrome_decision(target: WreathElement, p: int
                             ) -> TwoPalDecomposition | str:
     """Exact decision for the given left shift p: a verified decomposition,
-    or a contradiction trace string when none exists.
+    or a one-line trace string when none exists.
 
-    Solves for g on a finite window with zero boundary; g must be symmetric
-    about p/2 and h0 := f - g symmetric about (p + k)/2, where k is the
-    target shift.  Outside the window any finitely supported solution is
-    forced to vanish, so the procedure is complete as well as sound.
+    Let (f, k) be the target and m = |k|.  A solution (g, p)(h, k - p) has g
+    symmetric about p/2 and h0 := f - g symmetric about (p + k)/2, which
+    together say g(x) - g(x - k) = d(x) := f(x) - f(p + k - x).  For k != 0
+    the finitely supported g is unique: a running sum of d along each residue
+    class mod m, taken in the direction of k.  It exists exactly when every
+    class sums to zero, i.e. S(c) = S((p - c) mod m) for every residue c,
+    where S(c) is the sum of f over the class of c.  For k = 0 a solution
+    exists exactly when f is symmetric about p/2; then g := f and h := 0.
     """
     _require_lamp(target)
     f = _lamps(target)
     k = target.shift[0]
     q = k - p
-    lo, hi = _window(f, k, p)
-    window = range(lo, hi + 1)
-    in_window = lambda x: lo <= x <= hi
-
-    fval = lambda x: f.get(x, 0)
     g: dict[int, int] = {}
-
-    def relations(x: int) -> list[tuple[int, int]]:
-        # g(x) = g(p - x); g(x) = g(p + k - x) + (f(x) - f(p + k - x))
-        return [(p - x, 0), (p + k - x, fval(x) - fval(p + k - x))]
-
-    def set_value(x: int, value: int, note: str) -> str | None:
-        if x in g:
-            if g[x] != value:
-                return f"p={p}: g({x}) forced to both {g[x]} and {value} ({note})"
-            return None
-        g[x] = value
-        frontier.append(x)
-        return None
-
-    seen: set[int] = set()
-    for start in window:
-        if start in seen or start in g:
-            seen.add(start)
-            continue
-        # Explore the constraint component of `start`.
-        component = []
-        stack = [start]
-        comp_seen = set()
-        anchored = False
-        while stack:
-            x = stack.pop()
-            if x in comp_seen or not in_window(x):
-                continue
-            comp_seen.add(x)
-            component.append(x)
-            for y, _ in relations(x):
-                if in_window(y):
-                    stack.append(y)
-                else:
-                    anchored = True
-        seen.update(comp_seen)
-        frontier: list[int] = []
-        if anchored:
-            # Some relation exits the window; propagate zeros inward.
-            for x in sorted(component):
-                for y, delta in relations(x):
-                    if not in_window(y):
-                        # g(y) = 0 pinned, so g(x) = 0 + delta along that relation.
-                        trace = set_value(x, delta, f"boundary via {y}")
-                        if trace:
-                            return trace
-        if not any(x in g for x in component):
-            # Closed component (only possible when k = 0): choose h0 = 0 there.
-            x0 = min(component)
-            trace = set_value(x0, fval(x0), "free component, h0 := 0")
-            if trace:
-                return trace
-        while frontier:
-            x = frontier.pop()
-            base = g[x]
-            for y, delta in relations(x):
-                # g(x) = g(y) + delta
-                if in_window(y):
-                    trace = set_value(y, base - delta, f"from g({x})")
-                    if trace:
-                        return trace
-                elif base - delta != 0:
-                    return (f"p={p}: g({y}) = {base - delta} outside the window "
-                            f"contradicts finite support")
+    if k == 0:
+        for x, v in f.items():
+            if f.get(p - x, 0) != v:
+                return (f"p={p}: lamps not symmetric about p/2: "
+                        f"f({x}) = {v}, f({p - x}) = {f.get(p - x, 0)}")
+        g.update(f)
+    else:
+        m = abs(k)
+        d: dict[int, int] = {}
+        for x in set(f) | {p + k - y for y in f}:
+            delta = f.get(x, 0) - f.get(p + k - x, 0)
+            if delta:
+                d[x] = delta
+        classes: dict[int, list[int]] = {}
+        for x in d:
+            classes.setdefault(x % m, []).append(x)
+        for c in sorted(classes):
+            total = sum(d[x] for x in classes[c])
+            if total:
+                return f"p={p}: residue class {c} mod {m} sums to {total}"
+        # g(x) = g(x - k) + d(x): walk each class in the direction of k; g is
+        # constant on the class between consecutive points of supp d.
+        for xs in classes.values():
+            xs.sort(reverse=k < 0)
+            running = 0
+            for x, stop in zip(xs, xs[1:]):
+                running += d[x]
+                if running:
+                    for y in range(x, stop, k):
+                        g[y] = running
 
     g_fn = LatticeFn(1, {(x,): v for x, v in g.items()})
-    h0 = {x: fval(x) - g.get(x, 0) for x in set(f) | set(g)}
+    h0 = {x: f.get(x, 0) - g.get(x, 0) for x in set(f) | set(g)}
     # Verify both symmetries exactly before reporting success.
     for x in set(g) | {p - x for x in g}:
         if g.get(x, 0) != g.get(p - x, 0):
@@ -262,6 +210,21 @@ def enumerate_palindromes(max_len: int) -> list[Word]:
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _palindrome_table(max_len: int) -> tuple[Mapping[tuple, tuple[WreathElement, Word]],
+                                             tuple[tuple[tuple, int, Word], ...]]:
+    """The distinct non-identity elements of the palindromes of length <= max_len,
+    keyed by frozen() and each with its first word in enumeration order, and
+    the same elements in the same order as (lamp items, shift, word)."""
+    elements: dict[tuple, tuple[WreathElement, Word]] = {}
+    for w in enumerate_palindromes(max_len):
+        e = evaluate_word(LAMP_CTX, w)
+        if not e.is_identity():
+            elements.setdefault(e.frozen(), (e, w))
+    steps = tuple((tuple(_lamps(e).items()), e.shift[0], w) for e, w in elements.values())
+    return MappingProxyType(elements), steps
+
+
 @dataclass
 class OracleResult:
     status: str  # "exact" | "exceeds-max-factors" | "budget-exceeded"
@@ -280,24 +243,29 @@ def minimal_palindromic_length_bfs(target: WreathElement, max_len: int,
     if target.is_identity():
         return OracleResult("exact", 0)
 
-    words = enumerate_palindromes(max_len)
-    if not words:
+    elements, steps = _palindrome_table(max_len)
+    if not elements:
         return OracleResult("exceeds-max-factors", None)
-    elements: dict[tuple, tuple[WreathElement, Word]] = {}
-    for w in words:
-        e = evaluate_word(LAMP_CTX, w)
-        if e.is_identity():
-            continue
-        elements.setdefault(e.frozen(), (e, w))
     singles = list(elements.values())
 
     if max_factors >= 1 and target.frozen() in elements:
         return OracleResult("exact", 1, palindromes=len(elements),
                             witness=[elements[target.frozen()][1]])
     if max_factors >= 2:
-        for e, w in singles:
-            rest = multiply(invert(e), target)
-            hit = elements.get(rest.frozen())
+        # e^-1 * target is (f - f_e) translated by -s_e, with shift k - s_e;
+        # its frozen() key is built here from plain dicts.
+        f = _lamps(target)
+        k = target.shift[0]
+        for lamps, s, w in steps:
+            rest = dict(f)
+            for x, v in lamps:
+                left = rest.get(x, 0) - v
+                if left:
+                    rest[x] = left
+                else:
+                    del rest[x]
+            key = ((1, tuple([((x - s,), v) for x, v in sorted(rest.items())])), (k - s,))
+            hit = elements.get(key)
             if hit is not None:
                 return OracleResult("exact", 2, palindromes=len(elements),
                                     witness=[w, hit[1]])

@@ -167,8 +167,8 @@ class WordGroup(BaseGroup):
     """Free-word base group; elements are reduced words, equality by an oracle.
 
     Without a user-supplied factorization strategy every element factors
-    letter by letter (each unit letter is a palindrome) and no width bound
-    is declared.
+    run by run (each run g^k of its reduced word is a palindrome) and no
+    width bound is declared.
     """
 
     def __init__(self, alphabet: Alphabet,
@@ -207,8 +207,7 @@ class WordGroup(BaseGroup):
     def palindromic_factorization(self, element: Word) -> list[Word]:
         if self._factorization is not None:
             return self._factorization(element)
-        return [power(gen, 1 if exp > 0 else -1)
-                for gen, exp in element.runs for _ in range(abs(exp))]
+        return [power(gen, exp) for gen, exp in element.runs]
 
     def encode_value(self, element: Word) -> str:
         from .words import format_word

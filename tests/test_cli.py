@@ -196,6 +196,34 @@ def test_certify_width3():
     assert data["upper_factorization"]["count"] <= 3
 
 
+def test_width3_certificate_tampered_verdict_rejected(tmp_path):
+    # Flip one verdict each way: none -> decomposition on the witness, and
+    # decomposition -> none on a target that has two-palindrome products.
+    for word in ("a t a a t t", "a t^2 a^3 t^-1 a"):
+        cert_path = tmp_path / "cert.json"
+        run("certify-width3", "--word", word, "--scan-radius", "6", "--out", str(cert_path))
+        assert run("verify", str(cert_path), check=False).returncode == 0
+        cert = json.loads(cert_path.read_text())
+        found = cert["decompositions_found_at"]
+        p = str(found[0]) if found else "0"
+        flipped = "none" if found else "decomposition"
+        cert["verdicts"][p]["verdict"] = flipped
+        cert_path.write_text(json.dumps(cert))
+        proc = run("verify", str(cert_path), check=False)
+        assert proc.returncode == 2, (word, p, proc.stderr)
+
+
+def test_free_base_factors_one_per_run(tmp_path):
+    cert_path = tmp_path / "cert.json"
+    run("factor", "wreath", "--base", "free:a,b", "--word", "a b^1000 t a^-500",
+        "--out", str(cert_path))
+    cert = json.loads(cert_path.read_text())
+    # letter by letter this was 1 + 1000 + 1 + 500 = 1502 factors
+    assert cert["count"] == len(cert["factors"]) == 4
+    assert "b^1000" in cert["factors"]
+    run("verify", str(cert_path))
+
+
 def test_oracle_min_length():
     proc = run("oracle-min-length", "--word", "a t a a t t",
                "--max-len", "9", "--max-factors", "2")

@@ -1,18 +1,151 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from palwidth import (HypothesisViolation, TwoPalDecomposition, certify_width_three,
-                      concat, enumerate_palindromes, evaluate_word, format_word,
+from palwidth import (HypothesisViolation, OracleResult, TwoPalDecomposition,
+                      VerificationError, certify_width_three, concat,
+                      enumerate_palindromes, evaluate_word, format_word, invert,
                       is_palindromic_element, lamp_element,
                       minimal_palindromic_length_bfs, multiply, palindrome_for,
                       parse_word, two_palindrome_decision)
-from palwidth.lamplighter import LAMP_CTX, _window
+from palwidth.lamplighter import LAMP_CTX, _lamps, _require_lamp
+from palwidth.lattice import LatticeFn
 
 from test_wreath import G_ROW, W_G
 
 WITNESS = lamp_element({0: 1, 1: 2}, 3)
+BUDGET = settings(max_examples=400, deadline=None, database=None)
+
+
+# The window-propagation decision that the closed form replaced, kept as the
+# reference it is compared against.
+def _window(f, k, p):
+    """Interval outside which every finitely supported solution vanishes.
+
+    Base interval: min/max of {0, p, k, supp f} padded by |k| + 2.  For k != 0
+    the solution is unique and its support lies within the reflection-chain
+    bounds computed from where the propagation jumps can hit supp f; the
+    window is the hull of both.
+    """
+    pts = [0, p, k] + list(f)
+    lo, hi = min(pts) - abs(k) - 2, max(pts) + abs(k) + 2
+    if f and k != 0:
+        min_f, max_f = min(f), max(f)
+        if k > 0:
+            a = max(p - min_f, max_f - k)       # g support within [p - a, a]
+            b = min(p + k - max_f, min_f + k)   # h0 support within [b, p + k - b]
+            hull = [a, p - a, b, p + k - b]
+        else:
+            a = min(p - max_f, min_f - k)
+            b = max(p + k - min_f, max_f + k)
+            hull = [a, p - a, b, p + k - b]
+        lo = min([lo] + [c - 2 for c in hull])
+        hi = max([hi] + [c + 2 for c in hull])
+    return lo, hi
+
+
+def _window_decision(target, p):
+    """Exact decision for the given left shift p: a verified decomposition,
+    or a contradiction trace string when none exists.
+
+    Solves for g on a finite window with zero boundary; g must be symmetric
+    about p/2 and h0 := f - g symmetric about (p + k)/2, where k is the
+    target shift.  Outside the window any finitely supported solution is
+    forced to vanish, so the procedure is complete as well as sound.
+    """
+    _require_lamp(target)
+    f = _lamps(target)
+    k = target.shift[0]
+    q = k - p
+    lo, hi = _window(f, k, p)
+    window = range(lo, hi + 1)
+    in_window = lambda x: lo <= x <= hi
+
+    fval = lambda x: f.get(x, 0)
+    g: dict[int, int] = {}
+
+    def relations(x: int) -> list[tuple[int, int]]:
+        # g(x) = g(p - x); g(x) = g(p + k - x) + (f(x) - f(p + k - x))
+        return [(p - x, 0), (p + k - x, fval(x) - fval(p + k - x))]
+
+    def set_value(x: int, value: int, note: str) -> str | None:
+        if x in g:
+            if g[x] != value:
+                return f"p={p}: g({x}) forced to both {g[x]} and {value} ({note})"
+            return None
+        g[x] = value
+        frontier.append(x)
+        return None
+
+    seen: set[int] = set()
+    for start in window:
+        if start in seen or start in g:
+            seen.add(start)
+            continue
+        # Explore the constraint component of `start`.
+        component = []
+        stack = [start]
+        comp_seen = set()
+        anchored = False
+        while stack:
+            x = stack.pop()
+            if x in comp_seen or not in_window(x):
+                continue
+            comp_seen.add(x)
+            component.append(x)
+            for y, _ in relations(x):
+                if in_window(y):
+                    stack.append(y)
+                else:
+                    anchored = True
+        seen.update(comp_seen)
+        frontier: list[int] = []
+        if anchored:
+            # Some relation exits the window; propagate zeros inward.
+            for x in sorted(component):
+                for y, delta in relations(x):
+                    if not in_window(y):
+                        # g(y) = 0 pinned, so g(x) = 0 + delta along that relation.
+                        trace = set_value(x, delta, f"boundary via {y}")
+                        if trace:
+                            return trace
+        if not any(x in g for x in component):
+            # Closed component (only possible when k = 0): choose h0 = 0 there.
+            x0 = min(component)
+            trace = set_value(x0, fval(x0), "free component, h0 := 0")
+            if trace:
+                return trace
+        while frontier:
+            x = frontier.pop()
+            base = g[x]
+            for y, delta in relations(x):
+                # g(x) = g(y) + delta
+                if in_window(y):
+                    trace = set_value(y, base - delta, f"from g({x})")
+                    if trace:
+                        return trace
+                elif base - delta != 0:
+                    return (f"p={p}: g({y}) = {base - delta} outside the window "
+                            f"contradicts finite support")
+
+    g_fn = LatticeFn(1, {(x,): v for x, v in g.items()})
+    h0 = {x: fval(x) - g.get(x, 0) for x in set(f) | set(g)}
+    # Verify both symmetries exactly before reporting success.
+    for x in set(g) | {p - x for x in g}:
+        if g.get(x, 0) != g.get(p - x, 0):
+            return f"p={p}: solved g breaks its symmetry at {x}"
+    for x in set(h0) | {p + k - x for x in h0}:
+        if h0.get(x, 0) != h0.get(p + k - x, 0):
+            return f"p={p}: residual h breaks its symmetry at {x}"
+    h_fn = LatticeFn(1, {(x - p,): v for x, v in h0.items() if v})
+    decomposition = TwoPalDecomposition(g_fn, p, h_fn, q)
+    left, right = decomposition.as_elements()
+    if multiply(left, right) != target:
+        raise VerificationError("verified decomposition fails to multiply back")
+    return decomposition
 
 
 def test_is_palindromic_element():
@@ -173,6 +306,94 @@ def test_decision_cross_oracle():
             assert {x: v for (x,), v in verdict.g.items()} == oracle
         else:
             assert oracle is None, (fn, k, p, oracle)
+
+
+def _symmetric(half, center2):
+    """Symmetrize a dict of lamps about center2 / 2."""
+    out = {}
+    for x, v in half.items():
+        out[x] = out.get(x, 0) + v
+        if 2 * x != center2:
+            out[center2 - x] = out.get(center2 - x, 0) + v
+    return out
+
+
+@st.composite
+def decision_cases(draw):
+    """(target, p) with |k| <= 8, lamps in [-9, 9] and p in [-13, 13]: half
+    the targets random, half products of two palindromic elements at p."""
+    k = draw(st.integers(-8, 8))
+    p = draw(st.integers(-13, 13))
+    lamps = st.dictionaries(st.integers(-9, 9), st.integers(-3, 3), max_size=6)
+    if draw(st.booleans()):
+        fn = draw(lamps)
+    else:
+        fn = _symmetric(draw(lamps), p)
+        for x, v in _symmetric(draw(lamps), k - p).items():
+            fn[x + p] = fn.get(x + p, 0) + v
+    return lamp_element({x: v for x, v in fn.items() if v}, k), p
+
+
+@BUDGET
+@given(decision_cases())
+@example((lamp_element({0: 1, 1: 2}, 3), 0))
+@example((lamp_element({-2: 1, 2: 1, 5: 3}, 0), 0))
+@example((lamp_element({-2: 1, 2: 1}, 0), 0))
+@example((lamp_element({0: 4, 7: -1}, -2), 3))
+def test_closed_form_matches_window_propagation(case):
+    target, p = case
+    new, old = two_palindrome_decision(target, p), _window_decision(target, p)
+    assert isinstance(new, str) == isinstance(old, str), (new, old)
+    if isinstance(new, TwoPalDecomposition):
+        assert (new.g, new.p, new.h, new.q) == (old.g, old.p, old.h, old.q)
+        assert new.words() == old.words()
+
+
+@functools.cache
+def _reference_table(max_len):
+    elements = {}
+    for w in enumerate_palindromes(max_len):
+        e = evaluate_word(LAMP_CTX, w)
+        if not e.is_identity():
+            elements.setdefault(e.frozen(), (e, w))
+    return elements
+
+
+def _reference_oracle(target, max_len):
+    """The two-factor oracle as a multiply(invert(e), target) loop over a
+    table rebuilt here from enumerate_palindromes."""
+    elements = _reference_table(max_len)
+    if target.is_identity():
+        return OracleResult("exact", 0)
+    if target.frozen() in elements:
+        return OracleResult("exact", 1, palindromes=len(elements),
+                            witness=[elements[target.frozen()][1]])
+    for e, w in elements.values():
+        hit = elements.get(multiply(invert(e), target).frozen())
+        if hit is not None:
+            return OracleResult("exact", 2, palindromes=len(elements), witness=[w, hit[1]])
+    # the depth >= 3 search starts from the single layer, which counts as states
+    return OracleResult("exceeds-max-factors", None, palindromes=len(elements),
+                        states=len(elements))
+
+
+_PALINDROMES_9 = enumerate_palindromes(9)
+
+
+@BUDGET
+@given(st.sampled_from((5, 7)),
+       st.one_of(st.tuples(st.sampled_from(_PALINDROMES_9), st.sampled_from(_PALINDROMES_9))
+                 .map(lambda ws: evaluate_word(LAMP_CTX, ws[0] * ws[1])),
+                 st.tuples(st.integers(-20, 20), st.integers(-20, 20))
+                 .map(lambda ab: lamp_element({0: ab[0], 1: ab[1]}, 3))))
+@example(7, WITNESS)
+@example(7, lamp_element({}, 0))
+def test_oracle_two_factor_step_matches_reference(max_len, target):
+    got = minimal_palindromic_length_bfs(target, max_len, 2)
+    want = _reference_oracle(target, max_len)
+    assert (got.status, got.minimal, got.palindromes, got.states) == \
+        (want.status, want.minimal, want.palindromes, want.states)
+    assert got.witness == want.witness
 
 
 def test_certify_width_three_witness():
