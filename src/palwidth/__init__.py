@@ -23,13 +23,13 @@ from .skew import (SkewPiece, skew_split_fixed_centers, skew_split_grid,
                    skew_split_half)
 from .symmetric import (SymmetricSplit, symmetric_split,
                         symmetric_split_refined_r1)
-from .words import (Alphabet, EPSILON, Word, concat, format_word, free_equal,
-                    parse_word, power)
+from .words import (Alphabet, EPSILON, Factorization, Word, check_factorization,
+                    concat, format_word, free_equal, parse_word, power)
 from .wreath import (BaseGroup, CyclicGroup, IntegerGroup, WordGroup,
                      WreathContext, WreathElement, base_from_name,
                      element_from_json, element_to_json, evaluate_word,
                      identity_element, invert, make_element, multiply)
-from .wreath_factor import (Factorization, SnakePlan, build_snake,
-                            factorize_wreath, factorize_wreath_z, inject)
+from .wreath_factor import (SnakePlan, build_snake, factorize_wreath,
+                            factorize_wreath_z, inject)
 
 __version__ = "0.1.0"

@@ -1,8 +1,14 @@
 """Self-contained JSON certificates and their independent re-verification.
 
-A certificate embeds its input element, the factor words, the declared
-bound, and a transcript of sha256 hashes over the canonical JSON of the
-input and factors; `verify_certificate` recomputes everything from scratch.
+A factorization certificate embeds its input element, the factor words, the
+declared bound, and a transcript of sha256 hashes over the canonical JSON of
+the input and factors.  `verify_certificate` recomputes everything from
+scratch, through the same checks the library runs on its own output:
+`words.check_factorization` for every factor list, `symmetric.check_split`
+and `skew.check_pieces` for the splits, and a re-run for the two-palindrome
+decisions and the oracle.  Each checker below adds only what its kind
+declares besides: the factor count, the transcript hashes, the rendering of
+each decomposition, the oracle's `max_len`.
 """
 
 from __future__ import annotations
@@ -12,12 +18,17 @@ import json
 from typing import Any
 
 from .errors import VerificationError
-from .lattice import json_field, json_int, json_list, json_object, json_str
+from .lamplighter import (LAMP_CTX, TwoPalDecomposition, minimal_palindromic_length_bfs,
+                          two_palindrome_decision)
+from .lattice import (LatticeFn, json_field, json_int, json_list, json_object,
+                      json_point, json_str)
 from .metabelian import evaluate_word_flow, flow_from_json, flow_to_json
 from .metabelian import free_alphabet
-from .wreath import element_from_json, element_to_json, evaluate_word
-from .wreath_factor import Factorization
-from .words import concat, format_word, parse_word
+from .skew import SkewPiece, check_pieces
+from .symmetric import SymmetricSplit, check_split
+from .wreath import base_from_name, element_from_json, element_to_json, evaluate_word
+from .words import (EPSILON, Alphabet, Factorization, Word, check_factorization,
+                    format_word, parse_word)
 
 TOOL = "palwidth 0.1.0"
 
@@ -30,53 +41,62 @@ def sha256_of(data: Any) -> str:
     return hashlib.sha256(canonical_json(data).encode()).hexdigest()
 
 
+def _factorization_certificate(kind: str, alphabet: Alphabet, payload: dict,
+                               factorization: Factorization, config: dict,
+                               **extra) -> dict:
+    factors = [format_word(alphabet, w) for w in factorization.factors]
+    return {
+        "kind": kind,
+        "tool": TOOL,
+        "config": config,
+        "input": payload,
+        "factors": factors,
+        "count": factorization.count,
+        "bound": factorization.bound,
+        **extra,
+        "transcript": {
+            "input_sha256": sha256_of(payload),
+            "factors_sha256": sha256_of(factors),
+        },
+    }
+
+
 def wreath_certificate(element, factorization: Factorization, config: dict) -> dict:
-    alphabet = element.ctx.alphabet
-    payload = element_to_json(element)
-    factors = [format_word(alphabet, w) for w in factorization.factors]
+    return _factorization_certificate("wreath-factorization", element.ctx.alphabet,
+                                      element_to_json(element), factorization, config)
+
+
+def metabelian_certificate(element, factorization: Factorization, config: dict) -> dict:
+    return _factorization_certificate("metabelian-factorization", free_alphabet(element.r),
+                                      flow_to_json(element), factorization, config,
+                                      telemetry={})
+
+
+def decomposition_json(verdict) -> dict:
+    """How certificates carry one two_palindrome_decision verdict."""
+    if not isinstance(verdict, TwoPalDecomposition):
+        return {"verdict": "none", "trace": verdict}
+    left, right = verdict.words()
     return {
-        "kind": "wreath-factorization",
-        "tool": TOOL,
-        "config": config,
-        "input": payload,
-        "factors": factors,
-        "count": factorization.count,
-        "bound": factorization.bound,
-        "transcript": {
-            "input_sha256": sha256_of(payload),
-            "factors_sha256": sha256_of(factors),
-        },
+        "verdict": "decomposition",
+        "g": verdict.g.to_json(), "p": verdict.p,
+        "h": verdict.h.to_json(), "q": verdict.q,
+        "words": [format_word(LAMP_CTX.alphabet, left),
+                  format_word(LAMP_CTX.alphabet, right)],
     }
 
 
-def metabelian_certificate(element, factorization: Factorization, config: dict,
-                           telemetry: dict | None = None) -> dict:
-    alphabet = free_alphabet(element.r)
-    payload = flow_to_json(element)
-    factors = [format_word(alphabet, w) for w in factorization.factors]
-    return {
-        "kind": "metabelian-factorization",
-        "tool": TOOL,
-        "config": config,
-        "input": payload,
-        "factors": factors,
-        "count": factorization.count,
-        "bound": factorization.bound,
-        "telemetry": telemetry or {},
-        "transcript": {
-            "input_sha256": sha256_of(payload),
-            "factors_sha256": sha256_of(factors),
-        },
-    }
+def _words(alphabet: Alphabet, data: Any, what: str) -> list[Word]:
+    return [parse_word(alphabet, json_str(text, what)) for text in json_list(data, what)]
+
+
+def _optional_int(data: Any, what: str) -> int | None:
+    return None if data is None else json_int(data, what)
 
 
 def _check_factorization(cert: dict) -> None:
-    texts = [json_str(text, "factor")
-             for text in json_list(json_field(cert, "factors", "certificate"), "factors")]
     count = json_int(json_field(cert, "count", "certificate"), "count")
-    bound = cert.get("bound")
-    if bound is not None:
-        json_int(bound, "bound")
+    bound = _optional_int(cert.get("bound"), "bound")
     transcript = json_object(cert.get("transcript", {}), "transcript")
     if cert["kind"] == "wreath-factorization":
         element = element_from_json(json_field(cert, "input", "certificate"))
@@ -86,16 +106,10 @@ def _check_factorization(cert: dict) -> None:
         element = flow_from_json(json_field(cert, "input", "certificate"))
         alphabet = free_alphabet(element.r)
         evaluate = lambda w: evaluate_word_flow(element.r, w)
-    factors = [parse_word(alphabet, text) for text in texts]
-    for w, text in zip(factors, texts):
-        if not w.is_palindrome():
-            raise VerificationError(f"factor {text!r} is not a palindrome")
-    if evaluate(concat(factors)) != element:
-        raise VerificationError("factor product does not evaluate to the input")
+    factors = _words(alphabet, json_field(cert, "factors", "certificate"), "factor")
+    check_factorization(evaluate, element, factors, bound)
     if len(factors) != count:
         raise VerificationError("factor count does not match the certificate")
-    if bound is not None and count > bound:
-        raise VerificationError("factor count exceeds the declared bound")
     if transcript.get("input_sha256") != sha256_of(cert["input"]):
         raise VerificationError("input hash mismatch")
     if transcript.get("factors_sha256") != sha256_of(cert["factors"]):
@@ -103,126 +117,99 @@ def _check_factorization(cert: dict) -> None:
 
 
 def _check_symmetric_split(cert: dict) -> None:
-    from .lattice import LatticeFn
-    from .symmetric import check_axis_symmetry, check_even_symmetry
-    from .words import EPSILON
-    from .wreath import base_from_name
-
-    base = base_from_name(cert["base"])
-    decode = lambda raw: parse_word(base.alphabet, raw)
-    fn = LatticeFn.from_json(cert["input"], zero=EPSILON, decode=decode)
-    even = LatticeFn.from_json(cert["even_piece"], zero=EPSILON, decode=decode)
-    axes = [LatticeFn.from_json(d, zero=EPSILON, decode=decode)
-            for d in cert["axis_pieces"]]
-    if not check_even_symmetry(even):
-        raise VerificationError("even piece fails its mirror symmetry")
-    for axis, piece in enumerate(axes):
-        if not check_axis_symmetry(piece, axis):
-            raise VerificationError(f"axis-{axis + 1} piece fails its mirror symmetry")
-    gamma = base.decode_value(cert["gamma"])
-    points = set(fn.support()) | set(even.support()) | {(0,) * fn.r}
-    for piece in axes:
-        points.update(piece.support())
-    for point in points:
-        value = gamma if all(c == 0 for c in point) else base.identity()
-        value = base.multiply(value, base.evaluate(even[point]))
-        for piece in axes:
-            value = base.multiply(value, base.evaluate(piece[point]))
-        if not base.equal(value, base.evaluate(fn[point])):
-            raise VerificationError(f"pointwise product differs from input at {point}")
+    base = base_from_name(json_str(json_field(cert, "base", "certificate"), "base"))
+    decode = lambda raw: parse_word(base.alphabet, json_str(raw, "piece value"))
+    load = lambda data: LatticeFn.from_json(data, zero=EPSILON, decode=decode)
+    split = SymmetricSplit(
+        base.decode_value(json_field(cert, "gamma", "certificate")),
+        load(json_field(cert, "even_piece", "certificate")),
+        [load(data) for data in
+         json_list(json_field(cert, "axis_pieces", "certificate"), "axis_pieces")])
+    check_split(load(json_field(cert, "input", "certificate")), base, split)
 
 
 def _check_skew_split(cert: dict) -> None:
-    from .lattice import LatticeFn, zero_fn
-    from .skew import SkewPiece
+    pieces = []
+    for item in json_list(json_field(cert, "pieces", "certificate"), "pieces"):
+        item = json_object(item, "piece")
+        pieces.append(SkewPiece(LatticeFn.from_json(json_field(item, "fn", "piece")),
+                                json_point(json_field(item, "two_center", "piece"),
+                                           "two_center")))
+    check_pieces(LatticeFn.from_json(json_field(cert, "input", "certificate")), pieces,
+                 "certificate")
 
-    fn = LatticeFn.from_json(cert["input"])
-    total = zero_fn(fn.r)
-    for item in cert["pieces"]:
-        piece = SkewPiece(LatticeFn.from_json(item["fn"]), tuple(item["two_center"]))
-        if not piece.is_valid():
-            raise VerificationError(f"piece about {piece.two_center} fails skew symmetry")
-        total = total.add(piece.fn)
-    if total != fn:
-        raise VerificationError("pieces do not sum to the input")
+
+def _check_verdict(claimed: Any, rerun, where: str) -> None:
+    """A decomposition must equal the re-run's rendering; "none" must match
+    the re-run's kind (its trace text is not compared)."""
+    claimed = json_object(claimed, "verdict")
+    if json_field(claimed, "verdict", "verdict") == "decomposition":
+        if claimed != decomposition_json(rerun):
+            raise VerificationError(f"{where}: decomposition differs from the re-run")
+    elif isinstance(rerun, TwoPalDecomposition):
+        raise VerificationError(f"{where}: re-run decision found a decomposition")
 
 
 def _check_two_pal(cert: dict) -> None:
-    from .lamplighter import TwoPalDecomposition, two_palindrome_decision
-
-    element = element_from_json(cert["input"])
-    result = cert["result"]
-    rerun = two_palindrome_decision(element, int(cert["p"]))
-    if result["verdict"] == "decomposition":
-        if not isinstance(rerun, TwoPalDecomposition):
-            raise VerificationError("re-run decision found no decomposition")
-    elif not isinstance(rerun, str):
-        raise VerificationError("re-run decision found a decomposition")
+    element = element_from_json(json_field(cert, "input", "certificate"))
+    p = json_int(json_field(cert, "p", "certificate"), "p")
+    _check_verdict(json_field(cert, "result", "certificate"),
+                   two_palindrome_decision(element, p), f"p={p}")
 
 
 def _check_width3(cert: dict) -> None:
-    from .lamplighter import TwoPalDecomposition, two_palindrome_decision
-
-    element = element_from_json(cert["input"])
-    lo, hi = (int(c) for c in cert["scanned_p"])
+    element = element_from_json(json_field(cert, "input", "certificate"))
+    lo, hi = json_point(json_field(cert, "scanned_p", "certificate"), "scanned_p")
+    verdicts = json_object(json_field(cert, "verdicts", "certificate"), "verdicts")
     found = []
     for p in range(lo, hi + 1):
-        claimed = cert["verdicts"][str(p)]["verdict"]
         rerun = two_palindrome_decision(element, p)
-        actual = "decomposition" if isinstance(rerun, TwoPalDecomposition) else "none"
-        if claimed != actual:
-            raise VerificationError(f"verdict mismatch at p={p}")
-        if actual == "decomposition":
+        _check_verdict(json_field(verdicts, str(p), "verdicts"), rerun, f"p={p}")
+        if isinstance(rerun, TwoPalDecomposition):
             found.append(p)
     if cert["all_none"] != (not found):
         raise VerificationError("all_none flag does not match the verdict table")
-    upper = cert["upper_factorization"]
-    alphabet = element.ctx.alphabet
-    factors = [parse_word(alphabet, text) for text in upper["factors"]]
-    for w in factors:
-        if not w.is_palindrome():
-            raise VerificationError("upper factor is not a palindrome")
-    if evaluate_word(element.ctx, concat(factors)) != element:
-        raise VerificationError("upper factorization does not evaluate to the input")
-    if upper["bound"] is not None and upper["count"] > upper["bound"]:
-        raise VerificationError("upper factorization exceeds its bound")
+    upper = json_object(json_field(cert, "upper_factorization", "certificate"),
+                        "upper_factorization")
+    factors = _words(element.ctx.alphabet, json_field(upper, "factors", "upper_factorization"),
+                     "upper factor")
+    check_factorization(lambda w: evaluate_word(element.ctx, w), element, factors,
+                        _optional_int(upper.get("bound"), "upper bound"))
+    if json_int(json_field(upper, "count", "upper_factorization"), "count") != len(factors):
+        raise VerificationError("upper factorization count does not match its factors")
 
 
 def _check_min_length(cert: dict) -> None:
-    from .lamplighter import minimal_palindromic_length_bfs
-
-    element = element_from_json(cert["input"])
+    element = element_from_json(json_field(cert, "input", "certificate"))
+    max_len = json_int(json_field(cert, "max_len", "certificate"), "max_len")
+    max_factors = json_int(json_field(cert, "max_factors", "certificate"), "max_factors")
     rerun = minimal_palindromic_length_bfs(
-        element, int(cert["max_len"]), int(cert["max_factors"]),
-        max_states=int(cert.get("max_states", 2_000_000)))
+        element, max_len, max_factors,
+        max_states=json_int(cert.get("max_states", 2_000_000), "max_states"))
     if rerun.status != cert["status"] or rerun.minimal != cert["minimal"]:
         raise VerificationError("re-run oracle disagrees with the certificate")
     if cert["status"] == "exact" and cert["minimal"]:
-        alphabet = element.ctx.alphabet
-        factors = [parse_word(alphabet, text) for text in cert["witness"]]
+        factors = _words(element.ctx.alphabet, json_field(cert, "witness", "certificate"),
+                         "witness factor")
         if len(factors) != cert["minimal"]:
             raise VerificationError("witness length does not match the minimum")
-        for w in factors:
-            if not w.is_palindrome() or len(w) > int(cert["max_len"]):
-                raise VerificationError("witness factor out of contract")
-        if evaluate_word(element.ctx, concat(factors)) != element:
-            raise VerificationError("witness does not evaluate to the input")
+        if any(len(w) > max_len for w in factors):
+            raise VerificationError("witness factor is longer than max_len")
+        check_factorization(lambda w: evaluate_word(element.ctx, w), element, factors)
 
 
 def _check_rewrite(cert: dict) -> None:
-    from .words import Alphabet, free_equal
-
-    alphabet = Alphabet(tuple(cert["alphabet"]))
-    target = parse_word(alphabet, cert["target"])
-    factors = [parse_word(alphabet, text) for text in cert["factors"]]
-    for w in factors:
-        if not w.is_palindrome():
-            raise VerificationError("rewrite factor is not a palindrome")
-    if not free_equal(concat(factors), target):
-        raise VerificationError("rewrite product is not freely equal to the target")
-    if cert["kind"] == "rewrite-conjugate" and \
-            cert["count"] > cert["input_count"] + 1:
-        raise VerificationError("conjugation rewrite exceeds its factor budget")
+    alphabet = Alphabet(tuple(json_str(name, "generator name") for name in
+                              json_list(json_field(cert, "alphabet", "certificate"),
+                                        "alphabet")))
+    target = parse_word(alphabet, json_str(json_field(cert, "target", "certificate"), "target"))
+    factors = _words(alphabet, json_field(cert, "factors", "certificate"), "rewrite factor")
+    check_factorization(Word.free_reduce, target.free_reduce(), factors)
+    if cert["kind"] == "rewrite-conjugate":
+        count = json_int(json_field(cert, "count", "certificate"), "count")
+        budget = json_int(json_field(cert, "input_count", "certificate"), "input_count") + 1
+        if count > budget:
+            raise VerificationError("conjugation rewrite exceeds its factor budget")
 
 
 _CHECKERS = {

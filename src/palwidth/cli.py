@@ -12,12 +12,11 @@ import argparse
 import json
 import sys
 
-from .certificates import (TOOL, metabelian_certificate, verify_certificate,
-                           wreath_certificate)
+from .certificates import (TOOL, decomposition_json, metabelian_certificate,
+                           verify_certificate, wreath_certificate)
 from .errors import BudgetExceeded, HypothesisViolation, VerificationError
 from .lamplighter import (certify_width_three, lamp_element,
-                          minimal_palindromic_length_bfs,
-                          two_palindrome_decision, TwoPalDecomposition, LAMP_CTX)
+                          minimal_palindromic_length_bfs, two_palindrome_decision)
 from .lattice import (LatticeFn, json_field, json_int, json_list, json_object,
                       json_point, json_str)
 from .identities import commutator_three_palindromes, conjugate_factorization
@@ -107,12 +106,7 @@ def cmd_factor_wreath(args) -> int:
 def cmd_factor_metabelian(args) -> int:
     element = _load_flow_element(args)
     fact = factorize_metabelian(element)
-    telemetry = {"realized_count": fact.count,
-                 "bound_m": element.r * (element.r + 1) // 2,
-                 "realized_pairs": element.r * (element.r - 1) // 2}
-    cert = metabelian_certificate(element, fact,
-                                  {"command": "factor metabelian"},
-                                  telemetry)
+    cert = metabelian_certificate(element, fact, {"command": "factor metabelian"})
     _emit(cert, args.out)
     _log(f"{fact.count} palindromic factors (bound {fact.bound})")
     return 0
@@ -171,19 +165,6 @@ def cmd_decompose_skew(args) -> int:
     return 0
 
 
-def _decomposition_json(verdict) -> dict:
-    alphabet = LAMP_CTX.alphabet
-    if isinstance(verdict, TwoPalDecomposition):
-        left, right = verdict.words()
-        return {
-            "verdict": "decomposition",
-            "g": verdict.g.to_json(), "p": verdict.p,
-            "h": verdict.h.to_json(), "q": verdict.q,
-            "words": [format_word(alphabet, left), format_word(alphabet, right)],
-        }
-    return {"verdict": "none", "trace": verdict}
-
-
 def cmd_decide_two_pal(args) -> int:
     element = _load_wreath_element(args)
     result = two_palindrome_decision(element, args.p)
@@ -192,7 +173,7 @@ def cmd_decide_two_pal(args) -> int:
         "tool": TOOL,
         "input": element_to_json(element),
         "p": args.p,
-        "result": _decomposition_json(result),
+        "result": decomposition_json(result),
     }, args.out)
     return 0
 
@@ -214,7 +195,7 @@ def cmd_certify_width3(args) -> int:
         "decompositions_found_at": witness.found(),
         "upper_factorization": {"factors": upper, "count": witness.upper.count,
                                 "bound": witness.upper.bound},
-        "verdicts": {str(p): _decomposition_json(v)
+        "verdicts": {str(p): decomposition_json(v)
                      for p, v in sorted(witness.verdicts.items())},
     }, args.out)
     _log(f"scanned p in [{witness.p_range[0]}, {witness.p_range[1]}]: "

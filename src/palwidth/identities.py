@@ -9,21 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import VerificationError
-from .words import EPSILON, Word, concat, free_equal
+from .words import EPSILON, Word, check_factorization, concat
 
 
 @dataclass
 class PalindromicFactorList:
     factors: list[Word]
     target: Word
-
-    def verify(self) -> None:
-        for w in self.factors:
-            if not w.is_palindrome():
-                raise VerificationError("rewrite emitted a non-palindromic factor")
-        if not free_equal(concat(self.factors), self.target):
-            raise VerificationError("rewrite product is not freely equal to the target")
 
     @property
     def count(self) -> int:
@@ -38,9 +30,8 @@ def commutator_three_palindromes(g: Word, b: Word) -> PalindromicFactorList:
     factors = [g * b * g.reverse(),
                g.reverse().invert() * g.invert(),
                b.invert()]
-    out = PalindromicFactorList(factors, target)
-    out.verify()
-    return out
+    check_factorization(Word.free_reduce, target.free_reduce(), factors)
+    return PalindromicFactorList(factors, target)
 
 
 def conjugate_factorization(h: Word, factors: list[Word]) -> PalindromicFactorList:
@@ -63,8 +54,5 @@ def conjugate_factorization(h: Word, factors: list[Word]) -> PalindromicFactorLi
             out.append(h * g * h.reverse())
         else:
             out.append(h.reverse().invert() * g * h.invert())
-    result = PalindromicFactorList(out, target)
-    result.verify()
-    if result.count > len(factors) + 1:
-        raise VerificationError("conjugation rewrite exceeded its factor budget")
-    return result
+    check_factorization(Word.free_reduce, target.free_reduce(), out, len(factors) + 1)
+    return PalindromicFactorList(out, target)

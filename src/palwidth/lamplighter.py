@@ -22,8 +22,8 @@ from .errors import BudgetExceeded, HypothesisViolation, VerificationError
 from .lattice import LatticeFn
 from .wreath import (IntegerGroup, WreathContext, WreathElement, evaluate_word,
                      invert, make_element, multiply)
-from .wreath_factor import Factorization, factorize_wreath_z
-from .words import Word, concat, power
+from .wreath_factor import factorize_wreath_z
+from .words import Factorization, Word, check_factorization, concat, power
 
 LAMP_CTX = WreathContext(IntegerGroup(), 1)
 A, T = 0, 1  # letter indices in the (a, t) alphabet
@@ -62,8 +62,7 @@ def palindrome_for(e: WreathElement) -> Word:
             parts.append(power(T, 1))
     parts.append(power(T, lo))
     word = concat(parts)
-    if not word.is_palindrome() or evaluate_word(LAMP_CTX, word) != e:
-        raise VerificationError("palindrome construction failed verification")
+    check_factorization(lambda w: evaluate_word(LAMP_CTX, w), e, [word])
     return word
 
 

@@ -7,13 +7,15 @@ into skew-symmetric pieces about fixed half-integer centers, and spell each
 bundle of pieces as a palindrome conjugated by at most one generator.
 
 Each stage is an unchecked private builder.  `factorize_metabelian` chains
-them and checks its output once, at its boundary: every factor is a literal
-palindrome, the product evaluates to the input in the flow model, and the
-count is within the bound.  The public stage functions (`palindromize_skew`,
-`palindromize_conjugated`, `palindromize_gridzero`) wrap their builder with
-the same exact check on their own output.  `battlement_correct` re-extracts
-the corrected element to check its grid sums, and the pipeline reuses those
-coefficients rather than extracting them again.
+them and checks its output once, at its boundary, with
+`words.check_factorization` over the flow model: every factor is a literal
+palindrome, the product evaluates to the input, and the count is within the
+bound.  `palindromize_skew` and `palindromize_gridzero` wrap their builder
+with the same check on their own output; `palindromize_conjugated`, whose
+monomial factors are not palindromes, checks only its product.
+`battlement_correct` re-extracts the corrected element to check its grid
+sums, and the pipeline reuses those coefficients rather than extracting
+them again.
 """
 
 from __future__ import annotations
@@ -25,9 +27,8 @@ from .lattice import LatticeFn, Point
 from .metabelian import (FlowElement, Pair, SquareCoeffs, circulation_to_squares,
                          evaluate_word_flow, invert_flow, lattice_word,
                          multiply_flow, squares_to_element)
-from .skew import skew_split_fixed_centers
-from .words import Word, concat, power
-from .wreath_factor import Factorization
+from .skew import SkewPiece, skew_split_fixed_centers
+from .words import Factorization, Word, check_factorization, concat, power
 
 
 def metabelian_width_bound(r: int) -> int:
@@ -41,33 +42,16 @@ def _pair_center(r: int, pair: Pair) -> Point:
     return tuple(-(1 if k in (i, j) else 0) for k in range(r))
 
 
-def _is_skew_about(fn: LatticeFn, two_c: Point) -> bool:
-    return all(v == -fn[tuple(c - x for c, x in zip(two_c, p))]
-               for p, v in fn.items())
-
-
 def _require_skew(coeffs: SquareCoeffs, p: Point) -> None:
     """Hypothesis of the skew spellings: each pair's coefficient function is
     skew about p - (e_i + e_j)/2."""
     for pair in coeffs.pairs():
         i, j = pair
         two_c = tuple(2 * c + d for c, d in zip(p, _pair_center(coeffs.r, pair)))
-        if not _is_skew_about(coeffs.coeffs[pair], two_c):
+        if not SkewPiece(coeffs.coeffs[pair], two_c).is_valid():
             where = f"-(e_{i + 1}+e_{j + 1})/2" + (f" + {p}" if any(p) else "")
             raise HypothesisViolation(
                 f"coefficient for pair {(i + 1, j + 1)} is not skew about {where}")
-
-
-def _check_palindromes(factors: list[Word], stage: str) -> None:
-    for w in factors:
-        if not w.is_palindrome():
-            raise VerificationError(f"{stage} emitted a non-palindrome")
-
-
-def _check_product(r: int, factors: list[Word], target: FlowElement, stage: str) -> None:
-    """Exact check that the factors multiply to target in the flow model."""
-    if evaluate_word_flow(r, concat(factors)) != target:
-        raise VerificationError(f"{stage} factor product does not evaluate back")
 
 
 def _skew_palindrome(coeffs: SquareCoeffs) -> Word:
@@ -98,12 +82,12 @@ def palindromize_skew(coeffs: SquareCoeffs) -> Word:
     Support points pair up as {u, -u - e_i - e_j}; spelling only the
     lexicographically larger representative of each pair as u rho^f(u) u^-1
     and appending the reversal of the whole prefix supplies the partners,
-    so the output is literally of the form G реverse(G).
+    so the output is literally of the form G reverse(G).
     """
     _require_skew(coeffs, (0,) * coeffs.r)
     word = _skew_palindrome(coeffs)
-    _check_palindromes([word], "skew spelling")
-    _check_product(coeffs.r, [word], squares_to_element(coeffs), "skew spelling")
+    check_factorization(lambda w: evaluate_word_flow(coeffs.r, w),
+                        squares_to_element(coeffs), [word])
     return word
 
 
@@ -123,7 +107,8 @@ def palindromize_conjugated(coeffs: SquareCoeffs, p: Point) -> list[Word]:
     skew about p - (e_i + e_j)/2; the monomials vanish when p = 0."""
     _require_skew(coeffs, tuple(p))
     factors = _conjugated_factors(coeffs, p)
-    _check_product(coeffs.r, factors, squares_to_element(coeffs), "conjugated spelling")
+    if evaluate_word_flow(coeffs.r, concat(factors)) != squares_to_element(coeffs):
+        raise VerificationError("conjugated spelling does not evaluate back")
     return factors
 
 
@@ -150,9 +135,9 @@ def palindromize_gridzero(h: FlowElement) -> Factorization:
     grid sums cancel in the pairs matched by each commutator's center
     (all-zero grid sums, the usual hypothesis, always qualify)."""
     factors = _gridzero_factors(circulation_to_squares(h))
-    _check_palindromes(factors, "grid-zero stage")
-    _check_product(h.r, factors, h, "grid-zero stage")
-    return Factorization(factors, 3 * h.r + 1)
+    bound = 3 * h.r + 1
+    check_factorization(lambda w: evaluate_word_flow(h.r, w), h, factors, bound)
+    return Factorization(factors, bound)
 
 
 @dataclass
@@ -204,9 +189,6 @@ def _battlement_word(r: int, pair: Pair, grid: Point, amount: int
         core_factors = list(core.split(1))
     elif d < 0:
         core_factors = list(core.split(-1))
-    for part in core_factors:
-        if not part.is_palindrome():
-            raise VerificationError("battlement core split is not palindromic")
     factors = open_parts + core_factors + ([tail] if tail else []) + close_parts
     return word, [w for w in factors if w]
 
@@ -262,9 +244,6 @@ def factorize_metabelian(g: FlowElement) -> Factorization:
     plan, _ = battlement_correct(h)
     factors = (_gridzero_factors(plan.corrected_coeffs) + plan.inverse_factors()
                + shift_parts)
-    _check_palindromes(factors, "metabelian pipeline")
-    _check_product(r, factors, g, "metabelian pipeline")
     bound = metabelian_width_bound(r)
-    if len(factors) > bound:
-        raise VerificationError(f"{len(factors)} factors exceed the bound {bound}")
+    check_factorization(lambda w: evaluate_word_flow(r, w), g, factors, bound)
     return Factorization(factors, bound)

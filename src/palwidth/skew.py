@@ -41,7 +41,9 @@ class SkewPiece:
         )
 
 
-def _verify(f: LatticeFn, pieces: list[SkewPiece], context: str) -> list[SkewPiece]:
+def check_pieces(f: LatticeFn, pieces: list[SkewPiece], context: str) -> list[SkewPiece]:
+    """Raise VerificationError unless every piece is skew about its center and
+    the pieces sum to f; return the pieces."""
     total = zero_fn(f.r)
     for piece in pieces:
         if not piece.is_valid():
@@ -73,7 +75,7 @@ def skew_split_half(f: LatticeFn, two_p: Point) -> list[SkewPiece]:
     pieces = [SkewPiece(piece.fn.shift(shift),
                         tuple(c + 2 * s for c, s in zip(piece.two_center, shift)))
               for piece in base]
-    return _verify(f, pieces, "half-step split")
+    return check_pieces(f, pieces, "half-step split")
 
 
 def _split_parity(f: LatticeFn, tau: Point) -> list[SkewPiece]:
@@ -310,7 +312,7 @@ def skew_split_fixed_centers(f: LatticeFn, two_c: Point) -> list[SkewPiece]:
     if f.is_zero():
         return _zero_pieces(f.r, two_c, step=2)
     pieces = _transport(f, _centers(two_c, step=2), step=2)
-    return _verify(f, pieces, "fixed-center split")
+    return check_pieces(f, pieces, "fixed-center split")
 
 
 # ---------------------------------------------------------------------------
@@ -347,4 +349,4 @@ def skew_split_grid(f: LatticeFn, p: Point) -> list[SkewPiece]:
             totals[alpha] = totals[alpha].add(pushed)
     doubled = _centers(tuple(2 * c for c in p), step=2)
     pieces = [SkewPiece(fn, c) for fn, c in zip(totals, doubled)]
-    return _verify(f, pieces, "grid split")
+    return check_pieces(f, pieces, "grid split")

@@ -40,7 +40,7 @@ def _word_at(table: dict[Point, Word], point: Point) -> Word:
 def symmetric_split(f: LatticeFn, base: BaseGroup) -> SymmetricSplit:
     """Decompose a finitely supported word-valued f; verified before return."""
     split = _split(f, base, refined=False)
-    _verify_split(f, base, split)
+    check_split(f, base, split)
     return split
 
 
@@ -49,7 +49,7 @@ def symmetric_split_refined_r1(f: LatticeFn, base: BaseGroup) -> SymmetricSplit:
     if f.r != 1:
         raise ValueError(f"refined split needs rank 1, got rank {f.r}")
     split = _split(f, base, refined=True)
-    _verify_split(f, base, split)
+    check_split(f, base, split)
     return split
 
 
@@ -142,7 +142,10 @@ def check_axis_symmetry(piece: LatticeFn, axis: int) -> bool:
     return all(piece[p] == piece[mirror(p)].reverse() for p in piece.support())
 
 
-def _verify_split(f: LatticeFn, base: BaseGroup, split: SymmetricSplit) -> None:
+def check_split(f: LatticeFn, base: BaseGroup, split: SymmetricSplit) -> None:
+    """Raise VerificationError unless the pieces have their mirror symmetries,
+    their pointwise product (gamma at the origin) is f, and the gamma factors,
+    if any, are palindromes multiplying to gamma."""
     r = f.r
     if not check_even_symmetry(split.f0):
         raise VerificationError("even piece fails its mirror symmetry")

@@ -7,6 +7,10 @@ equality, palindromicity and every other operation here work on runs in
 O(runs) time, and memory does not grow with exponent values.  Palindromicity
 is still judged on the literal letter sequence (a^3 t a^3 is a palindrome,
 a A is not), never on a reduced form.
+
+`check_factorization` is the one statement of the contract every
+palindromic factorization here meets; the factorizers and the certificate
+checkers all call it.
 """
 
 from __future__ import annotations
@@ -14,7 +18,9 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Any, Callable, Iterable
+
+from .errors import VerificationError
 
 _NAME_RE = re.compile(r"[a-z][0-9]*\Z")
 # One token (name, optional exponent) or one stray non-space character.
@@ -191,6 +197,32 @@ def concat(words: Iterable[Word]) -> Word:
 
 def free_equal(a: Word, b: Word) -> bool:
     return a.free_reduce() == b.free_reduce()
+
+
+@dataclass
+class Factorization:
+    """Palindromic factor list for one element, with the declared count bound."""
+
+    factors: list[Word]
+    bound: int | None
+
+    @property
+    def count(self) -> int:
+        return len(self.factors)
+
+
+def check_factorization(evaluate: Callable[[Word], Any], target: Any,
+                        factors: list[Word], bound: int | None = None) -> None:
+    """Raise VerificationError unless every factor is a literal palindrome,
+    evaluate(product of the factors) == target, and there are at most `bound`
+    factors (no limit when bound is None)."""
+    for index, w in enumerate(factors):
+        if not w.is_palindrome():
+            raise VerificationError(f"factor {index} is not a palindrome")
+    if evaluate(concat(factors)) != target:
+        raise VerificationError("factor product does not evaluate to the target")
+    if bound is not None and len(factors) > bound:
+        raise VerificationError(f"{len(factors)} factors exceed the bound {bound}")
 
 
 def parse_word(alphabet: Alphabet, text: str) -> Word:

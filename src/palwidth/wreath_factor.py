@@ -15,7 +15,7 @@ from functools import cached_property
 from .errors import VerificationError
 from .lattice import LatticeFn, Point
 from .symmetric import symmetric_split, symmetric_split_refined_r1
-from .words import EPSILON, Word, concat, power
+from .words import EPSILON, Factorization, Word, check_factorization, concat, power
 from .wreath import WreathContext, WreathElement, evaluate_word
 
 
@@ -125,27 +125,6 @@ def _odd_box_radius(piece: LatticeFn, axis: int) -> int:
     return n
 
 
-@dataclass
-class Factorization:
-    """Palindromic factor list for one element, with the declared count bound."""
-
-    factors: list[Word]
-    bound: int | None
-
-    @property
-    def count(self) -> int:
-        return len(self.factors)
-
-
-def _verify_wreath(e: WreathElement, factors: list[Word]) -> None:
-    for w in factors:
-        if not w.is_palindrome():
-            raise VerificationError("emitted factor is not a palindrome")
-    product = evaluate_word(e.ctx, concat(factors))
-    if product != e:
-        raise VerificationError("factor product does not evaluate to the element")
-
-
 def _assemble(e: WreathElement, split, bound: int | None) -> Factorization:
     ctx = e.ctx
     factors: list[Word] = []
@@ -178,9 +157,7 @@ def _assemble(e: WreathElement, split, bound: int | None) -> Factorization:
         if exp:
             factors.append(power(ctx.lattice_gen(axis0), exp))
 
-    _verify_wreath(e, factors)
-    if bound is not None and len(factors) > bound:
-        raise VerificationError(f"{len(factors)} factors exceed the bound {bound}")
+    check_factorization(lambda w: evaluate_word(ctx, w), e, factors, bound)
     return Factorization(factors, bound)
 
 

@@ -1,0 +1,72 @@
+"""The benchmark's traced mode (`benchmarks/run.py --trace 1`) wraps palwidth
+functions at the attributes where their callers look them up.  These tests
+read `benchmarks/` and change nothing there: they fail when a refactor
+deletes a wrapped attribute, or when a caller stops looking one up."""
+
+import ast
+import importlib
+import importlib.util
+import random
+from pathlib import Path
+from types import SimpleNamespace
+
+from gens import random_flow_element
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCHMARKS / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _palwidth_modules():
+    """The namespace `benchmarks/run.py` hands to `tracing.instrument`."""
+    tree = ast.parse((BENCHMARKS / "run.py").read_text())
+    names = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "MODULES" for t in node.targets))
+    return SimpleNamespace(**{m: importlib.import_module(f"palwidth.{m}") for m in names})
+
+
+def test_instrument_installs_and_uninstalls_every_site():
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracing.instrument(tracer, _palwidth_modules())
+        installed = list(tracer._installed)
+        assert installed
+        for owner, attr, original in installed:
+            assert getattr(owner, attr) is not original
+    finally:
+        tracer.uninstall()
+    first = {}
+    for owner, attr, original in installed:
+        first.setdefault((owner, attr), original)
+    for (owner, attr), original in first.items():
+        assert getattr(owner, attr) is original
+
+
+def test_traced_spans_keep_their_caller_names():
+    tracing = _tracing()
+    pw = _palwidth_modules()
+    tracer = tracing.Tracer()
+    try:
+        tracing.instrument(tracer, pw)
+        lamps = pw.lamplighter.lamp_element({0: 3, 2: -5}, 4)
+        flow = random_flow_element(random.Random(1), 2, 2, 3, 2)
+        for element, factorize, certify in (
+                (lamps, pw.wreath_factor.factorize_wreath_z,
+                 pw.certificates.wreath_certificate),
+                (flow, pw.metabelian_factor.factorize_metabelian,
+                 pw.certificates.metabelian_certificate)):
+            cert = certify(element, factorize(element), {})
+            pw.certificates.verify_certificate(cert)
+    finally:
+        tracer.uninstall()
+    names = {span[0] for span in tracer.spans}
+    assert {"wreath.evaluate_word.wreath_factor", "wreath.evaluate_word.certificates",
+            "metabelian.evaluate_word_flow.metabelian_factor",
+            "metabelian.evaluate_word_flow.certificates"} <= names

@@ -277,3 +277,100 @@ def test_byte_determinism(tmp_path):
     first = run("demo-paper").stdout
     second = run("demo-paper").stdout
     assert first == second
+
+
+def _certificate(tmp_path, kind):
+    """One certificate of `kind`, made as test_verify_covers_every_certificate_kind
+    makes it."""
+    fn = tmp_path / "fn.json"
+    fn.write_text(json.dumps({"r": 1, "entries": [{"pos": [0], "val": 1},
+                                                  {"pos": [2], "val": -1}]}))
+    frow = tmp_path / "frow.json"
+    frow.write_text(json.dumps({"r": 1, "entries": [{"pos": [1], "val": 2}]}))
+    args = {
+        "wreath-factorization": ("factor", "wreath-z", "--word", "t a t"),
+        "metabelian-factorization": ("factor", "metabelian", "--word", "x1x2X1X2",
+                                     "--r", "2"),
+        "symmetric-split": ("decompose", "symmetric", "--in", str(frow), "--base", "Z"),
+        "skew-split": ("decompose", "skew", "--in", str(fn), "--mode", "grid", "--p", "0"),
+        "two-pal-decision": ("decide-two-pal", "--word", "a t a a t t", "--p", "0"),
+        "width3-certificate": ("certify-width3", "--word", "a t", "--scan-radius", "4"),
+        "min-length": ("oracle-min-length", "--word", "a t", "--max-len", "3",
+                       "--max-factors", "2"),
+        "rewrite-commutator": ("rewrite", "commutator", "--g", "x1", "--b", "x2"),
+        "rewrite-conjugate": ("rewrite", "conjugate", "--h", "x1", "x2"),
+    }[kind]
+    cert = json.loads(run(*args).stdout)
+    assert cert["kind"] == kind
+    return cert
+
+
+def _verify_json(tmp_path, cert):
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(cert))
+    return run("verify", str(path), check=False)
+
+
+def _tamper(kind, cert):
+    """One semantic edit of the certificate that `palwidth verify` must reject."""
+    if kind == "wreath-factorization":
+        cert["count"] += 1  # the factor list and its hash are untouched
+    elif kind == "metabelian-factorization":
+        cert["factors"][0] += "x1"
+    elif kind == "symmetric-split":
+        cert["gamma"] += 1
+    elif kind == "skew-split":
+        piece = next(p for p in cert["pieces"] if p["fn"]["entries"])
+        piece["fn"]["entries"][0]["val"] += 1
+    elif kind == "two-pal-decision":
+        cert["result"]["verdict"] = "decomposition"
+    elif kind == "width3-certificate":
+        cert["verdicts"]["0"]["g"] = {"r": 1, "entries": [{"pos": [0], "val": 99}]}
+    elif kind == "min-length":
+        cert["minimal"] += 1
+    elif kind == "rewrite-commutator":
+        cert["factors"][0:1] = ["x1x2", "x1"]  # same product, not palindromes
+    else:
+        cert["factors"][0] = "x1x2"
+
+
+@pytest.mark.parametrize("kind", ["wreath-factorization", "metabelian-factorization",
+                                  "symmetric-split", "skew-split", "two-pal-decision",
+                                  "width3-certificate", "min-length",
+                                  "rewrite-commutator", "rewrite-conjugate"])
+def test_verify_rejects_tampered_certificate_of_every_kind(tmp_path, kind):
+    cert = _certificate(tmp_path, kind)
+    _tamper(kind, cert)
+    proc = _verify_json(tmp_path, cert)
+    assert proc.returncode == 2, proc.stderr
+
+
+def test_verify_checks_what_a_decomposition_says(tmp_path):
+    proc = run("decide-two-pal", "--word", "a t^2 a^3 t^-1 a", "--p", "0")
+    cert = json.loads(proc.stdout)
+    assert cert["result"]["verdict"] == "decomposition"
+    assert _verify_json(tmp_path, cert).returncode == 0
+    cert["result"]["words"] = ["a", "a"]
+    assert _verify_json(tmp_path, cert).returncode == 2
+
+    cert = json.loads(run("certify-width3", "--word", "a t a a t t",
+                          "--scan-radius", "6").stdout)
+    upper = cert["upper_factorization"]
+    assert upper["count"] == upper["bound"] == 3
+    for edit in ({"count": 1}, {"bound": 1}, {"count": 1, "bound": 1}):
+        cert["upper_factorization"] = {**upper, **edit}
+        assert _verify_json(tmp_path, cert).returncode == 2, edit
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("two-pal-decision", "result", [1]),
+    ("width3-certificate", "scanned_p", 5),
+    ("skew-split", "pieces", [1]),
+    ("symmetric-split", "axis_pieces", 5),
+    ("min-length", "witness", 5),
+    ("rewrite-commutator", "factors", 5),
+])
+def test_malformed_certificate_field(tmp_path, kind, field, value):
+    cert = _certificate(tmp_path, kind)
+    cert[field] = value
+    _assert_one_line_error(_verify_json(tmp_path, cert))
