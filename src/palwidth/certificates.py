@@ -17,9 +17,9 @@ import hashlib
 import json
 from typing import Any
 
-from .errors import VerificationError
-from .lamplighter import (LAMP_CTX, TwoPalDecomposition, minimal_palindromic_length_bfs,
-                          two_palindrome_decision)
+from .errors import BudgetExceeded, VerificationError
+from .lamplighter import (LAMP_CTX, OracleResult, TwoPalDecomposition,
+                          minimal_palindromic_length_bfs, two_palindrome_decision)
 from .lattice import (LatticeFn, json_field, json_int, json_list, json_object,
                       json_point, json_str)
 from .metabelian import evaluate_word_flow, flow_from_json, flow_to_json
@@ -183,9 +183,12 @@ def _check_min_length(cert: dict) -> None:
     element = element_from_json(json_field(cert, "input", "certificate"))
     max_len = json_int(json_field(cert, "max_len", "certificate"), "max_len")
     max_factors = json_int(json_field(cert, "max_factors", "certificate"), "max_factors")
-    rerun = minimal_palindromic_length_bfs(
-        element, max_len, max_factors,
-        max_states=json_int(cert.get("max_states", 2_000_000), "max_states"))
+    try:
+        rerun = minimal_palindromic_length_bfs(
+            element, max_len, max_factors,
+            max_states=json_int(cert.get("max_states", 2_000_000), "max_states"))
+    except BudgetExceeded:
+        rerun = OracleResult("budget-exceeded", None)
     if rerun.status != cert["status"] or rerun.minimal != cert["minimal"]:
         raise VerificationError("re-run oracle disagrees with the certificate")
     if cert["status"] == "exact" and cert["minimal"]:
@@ -205,8 +208,10 @@ def _check_rewrite(cert: dict) -> None:
     target = parse_word(alphabet, json_str(json_field(cert, "target", "certificate"), "target"))
     factors = _words(alphabet, json_field(cert, "factors", "certificate"), "rewrite factor")
     check_factorization(Word.free_reduce, target.free_reduce(), factors)
+    count = json_int(json_field(cert, "count", "certificate"), "count")
+    if count != sum(1 for w in factors if w):
+        raise VerificationError("rewrite count does not match its nonempty factors")
     if cert["kind"] == "rewrite-conjugate":
-        count = json_int(json_field(cert, "count", "certificate"), "count")
         budget = json_int(json_field(cert, "input_count", "certificate"), "input_count") + 1
         if count > budget:
             raise VerificationError("conjugation rewrite exceeds its factor budget")

@@ -205,23 +205,25 @@ def cmd_certify_width3(args) -> int:
 
 def cmd_oracle_min_length(args) -> int:
     element = _load_wreath_element(args)
-    try:
-        result = minimal_palindromic_length_bfs(element, args.max_len,
-                                                args.max_factors,
-                                                max_states=args.max_states)
-    except BudgetExceeded as exc:
-        _emit({"kind": "min-length", "tool": TOOL,
-               "input": element_to_json(element),
-               "status": "budget-exceeded", "detail": str(exc)}, args.out)
-        return 0
-    alphabet = element.ctx.alphabet
-    _emit({
+    cert = {
         "kind": "min-length",
         "tool": TOOL,
         "input": element_to_json(element),
         "max_len": args.max_len,
         "max_factors": args.max_factors,
         "max_states": args.max_states,
+    }
+    try:
+        result = minimal_palindromic_length_bfs(element, args.max_len,
+                                                args.max_factors,
+                                                max_states=args.max_states)
+    except BudgetExceeded as exc:
+        _emit({**cert, "status": "budget-exceeded", "minimal": None, "detail": str(exc)},
+              args.out)
+        return 0
+    alphabet = element.ctx.alphabet
+    _emit({
+        **cert,
         "status": result.status,
         "minimal": result.minimal,
         "witness": [format_word(alphabet, w) for w in result.witness],

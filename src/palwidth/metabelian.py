@@ -36,6 +36,16 @@ class FlowElement:
     def __post_init__(self) -> None:
         _check_divergence(self.r, self.shift, self.edges)
 
+    @classmethod
+    def _of(cls, r: int, shift: Point, edges: dict[Edge, int]) -> "FlowElement":
+        """Wrap a flow already known to be a path from the origin to shift,
+        skipping the divergence check."""
+        element = cls.__new__(cls)
+        object.__setattr__(element, "r", r)
+        object.__setattr__(element, "shift", shift)
+        object.__setattr__(element, "edges", edges)
+        return element
+
     def is_identity(self) -> bool:
         return not self.edges and all(c == 0 for c in self.shift)
 
@@ -69,7 +79,7 @@ def _check_divergence(r: int, shift: Point, edges: dict[Edge, int]) -> None:
 
 
 def identity_flow(r: int) -> FlowElement:
-    return FlowElement(r, (0,) * r, {})
+    return FlowElement._of(r, (0,) * r, {})
 
 
 def _clean(edges: dict[Edge, int]) -> dict[Edge, int]:
@@ -125,7 +135,7 @@ def evaluate_word_flow(r: int, word: Word) -> FlowElement:
         return tuple(coords)
 
     flow = {(point(k // r), k % r): v for k, v in edges.items() if v}
-    return FlowElement(r, point(key // r), flow)
+    return FlowElement._of(r, point(key // r), flow)
 
 
 def multiply_flow(a: FlowElement, b: FlowElement) -> FlowElement:
@@ -137,14 +147,14 @@ def multiply_flow(a: FlowElement, b: FlowElement) -> FlowElement:
         key = (tuple(c + s for c, s in zip(point, a.shift)), axis)
         edges[key] = edges.get(key, 0) + value
     shift = tuple(x + y for x, y in zip(a.shift, b.shift))
-    return FlowElement(a.r, shift, _clean(edges))
+    return FlowElement._of(a.r, shift, _clean(edges))
 
 
 def invert_flow(a: FlowElement) -> FlowElement:
     neg = tuple(-c for c in a.shift)
     edges = {(tuple(c + n for c, n in zip(point, neg)), axis): -value
              for (point, axis), value in a.edges.items()}
-    return FlowElement(a.r, neg, edges)
+    return FlowElement._of(a.r, neg, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +208,7 @@ def squares_to_element(c: SquareCoeffs) -> FlowElement:
         for point, value in c.coeffs[pair].items():
             for edge, v in square_flow(c.r, pair, point, value).items():
                 edges[edge] = edges.get(edge, 0) + v
-    return FlowElement(c.r, (0,) * c.r, _clean(edges))
+    return FlowElement._of(c.r, (0,) * c.r, _clean(edges))
 
 
 def circulation_to_squares(h: FlowElement) -> SquareCoeffs:
@@ -262,18 +272,20 @@ def lattice_word(r: int, point: Point) -> Word:
     return concat([power(axis, exp) for axis, exp in enumerate(point)])
 
 
+def square_word(r: int, pair: Pair, at: Point, value: int) -> Word:
+    """Word m [x_i, x_j]^value m^-1, m the canonical monomial of `at`; it
+    evaluates to square_flow(r, pair, at, value)."""
+    i, j = pair
+    rho = Word(((i, 1), (j, 1), (i, -1), (j, -1)))
+    m = lattice_word(r, at)
+    core = concat([rho] * value) if value > 0 else concat([rho.invert()] * (-value))
+    return m * core * m.invert()
+
+
 def squares_word(c: SquareCoeffs) -> Word:
     """Word spelling every u [x_i,x_j]^f(u) u^-1 with canonical monomials."""
-    parts: list[Word] = []
-    for pair in c.pairs():
-        i, j = pair
-        rho = Word(((i, 1), (j, 1), (i, -1), (j, -1)))
-        for point, value in c.coeffs[pair].items():
-            m = lattice_word(c.r, point)
-            core = concat([rho] * value) if value > 0 else concat(
-                [rho.invert()] * (-value))
-            parts.append(m * core * m.invert())
-    return concat(parts)
+    return concat([square_word(c.r, pair, point, value)
+                   for pair in c.pairs() for point, value in c.coeffs[pair].items()])
 
 
 def element_to_word(h: FlowElement) -> Word:

@@ -26,7 +26,7 @@ from .errors import HypothesisViolation, VerificationError
 from .lattice import LatticeFn, Point
 from .metabelian import (FlowElement, Pair, SquareCoeffs, circulation_to_squares,
                          evaluate_word_flow, invert_flow, lattice_word,
-                         multiply_flow, squares_to_element)
+                         multiply_flow, square_word, squares_to_element)
 from .skew import SkewPiece, skew_split_fixed_centers
 from .words import Factorization, Word, check_factorization, concat, power
 
@@ -59,19 +59,12 @@ def _skew_palindrome(coeffs: SquareCoeffs) -> Word:
     r = coeffs.r
     parts: list[Word] = []
     for pair in reversed(coeffs.pairs()):
-        i, j = pair
         fn = coeffs.coeffs[pair]
         two_c = _pair_center(r, pair)
-        rho = Word(((i, 1), (j, 1), (i, -1), (j, -1)))
         reps = sorted(
             (p for p, _ in fn.items()
              if p > tuple(c - x for c, x in zip(two_c, p))))
-        for u in reps:
-            value = fn[u]
-            m = lattice_word(r, u)
-            core = concat([rho] * value) if value > 0 else concat(
-                [rho.invert()] * (-value))
-            parts.append(m * core * m.invert())
+        parts.extend(square_word(r, pair, u, fn[u]) for u in reps)
     half = concat(parts)
     return half * half.reverse()
 

@@ -2,19 +2,20 @@
 
 A piece is skew-symmetric about a (possibly half-integer) center c when
 fn(x) = -fn(2c - x) for all x; centers are always carried doubled so the
-arithmetic stays in the integers.  Three decompositions are provided:
+arithmetic stays in the integers.  One construction, mass transport, serves
+three center families:
 
 * half-step centers c, c + e_1/2, ..., c + e_r/2 for zero-sum functions,
 * integer-step centers p, p + e_1, ..., p + e_r for functions whose 2^r
-  grid sums all vanish (via pullback to the half-step case on each grid),
-* fixed half-integer centers c, c + e_1, ..., c + e_r via mass transport,
-  used by the metabelian pipeline.
+  grid sums all vanish,
+* fixed centers c, c + e_1, ..., c + e_r about any doubled center 2c, for
+  functions whose grid sums cancel in the pairs the reflection through c
+  matches; the metabelian pipeline uses this family.
 
-The half-step construction follows the outside-in jump recursion along an
-axis where the doubled center is even, slicing off that axis and recursing;
-when every coordinate of the doubled center is odd the transport
-construction takes over (the slice recursion cannot reach those centers).
-Every public operation re-verifies its output before returning it.
+Transport moves all mass onto one point per residue class by reflections
+through the centers; the hypothesis of each family is what makes the mass
+left there vanish.  Every public operation re-verifies its output before
+returning it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import heapq
 from dataclasses import dataclass
 
 from .errors import HypothesisViolation, VerificationError
-from .lattice import LatticeFn, Point, from_items, grid_vectors, zero_fn
+from .lattice import LatticeFn, Point, from_items, zero_fn
 
 
 @dataclass
@@ -56,42 +57,8 @@ def check_pieces(f: LatticeFn, pieces: list[SkewPiece], context: str) -> list[Sk
 
 
 # ---------------------------------------------------------------------------
-# half-step centers
+# mass transport
 # ---------------------------------------------------------------------------
-
-def skew_split_half(f: LatticeFn, two_p: Point) -> list[SkewPiece]:
-    """r+1 pieces skew about p, p + e_1/2, ..., p + e_r/2 (2p = two_p).
-
-    Requires the total sum of f to vanish.
-    """
-    two_p = tuple(two_p)
-    if len(two_p) != f.r:
-        raise ValueError("center dimension mismatch")
-    if f.total() != 0:
-        raise HypothesisViolation(f"total sum is {f.total()}, not 0")
-    shift = tuple(c // 2 for c in two_p)
-    tau = tuple(c - 2 * s for c, s in zip(two_p, shift))
-    base = _split_parity(f.shift(tuple(-s for s in shift)), tau)
-    pieces = [SkewPiece(piece.fn.shift(shift),
-                        tuple(c + 2 * s for c, s in zip(piece.two_center, shift)))
-              for piece in base]
-    return check_pieces(f, pieces, "half-step split")
-
-
-def _split_parity(f: LatticeFn, tau: Point) -> list[SkewPiece]:
-    """Split about tau/2 and tau/2 + e_i/2 where tau is a 0/1 vector."""
-    r = f.r
-    if f.is_zero():
-        return _zero_pieces(r, tau, step=1)
-    if r == 1:
-        return _split_axis_rank1(f, tau[0])
-    for axis in range(r - 1, -1, -1):
-        if tau[axis] == 0:
-            return _split_even_axis(f, tau, axis)
-    # Every coordinate of the center is a strict half-integer: transport.
-    centers = _centers(tau, step=1)
-    return _transport(f, centers, step=1)
-
 
 def _zero_pieces(r: int, two_c: Point, step: int) -> list[SkewPiece]:
     return [SkewPiece(zero_fn(r), c) for c in _centers(two_c, step)]
@@ -106,100 +73,6 @@ def _centers(two_c: Point, step: int) -> list[Point]:
                          for j, c in enumerate(two_c)))
     return out
 
-
-def _split_axis_rank1(f: LatticeFn, tau: int) -> list[SkewPiece]:
-    """Rank-1 jump recursion; tau is the doubled center, 0 or 1."""
-    n = max(1, f.box_radius())
-    g: dict[int, int] = {}
-    h: dict[int, int] = {}
-    if tau == 0:
-        # g skew about 0, h skew about 1/2.
-        for i in range(n, 0, -1):
-            g[-i] = f[(-i,)] - h.get(-i, 0)
-            g[i] = -g[-i]
-            h[1 - i] = g[i] - f[(i,)]
-            h[i] = -h[1 - i]
-        g[0] = f[(0,)] - h.get(0, 0)
-        if g[0] != 0:
-            raise VerificationError("rank-1 split: center value nonzero despite zero sum")
-        pieces = [g, h]
-    else:
-        # h skew about 1/2, g skew about 1.
-        g[-n] = 0
-        for i in range(n, 0, -1):
-            h[-i] = f[(-i,)] - g.get(-i, 0)
-            h[i + 1] = -h[-i]
-            g[-i + 1] = h[i + 1] - f[(i + 1,)]
-            g[i + 1] = -g[-i + 1]
-        h[0] = f[(0,)] - g.get(0, 0)
-        h[1] = -h[0]
-        g[1] = f[(1,)] - h[1]
-        if g[1] != 0:
-            raise VerificationError("rank-1 split: center value nonzero despite zero sum")
-        pieces = [h, g]
-    fns = [LatticeFn(1, {(x,): v for x, v in table.items()}) for table in pieces]
-    return [SkewPiece(fns[0], (tau,)), SkewPiece(fns[1], (tau + 1,))]
-
-
-def _split_even_axis(f: LatticeFn, tau: Point, axis: int) -> list[SkewPiece]:
-    """Jump recursion along an axis with an integer center coordinate.
-
-    Produces one piece skew about the center off the fixed hyperplane, one
-    piece skew about center + e_axis/2, then recurses on the hyperplane slice
-    where the first piece's symmetry cannot be controlled.
-    """
-    r = f.r
-    n = max(1, max((abs(p[axis]) for p in f.support()), default=1))
-    s = tuple(c for j, c in enumerate(tau) if j != axis)  # doubled slice center
-
-    def put(x: Point, level: int) -> Point:
-        return x[:axis] + (level,) + x[axis:]
-
-    columns = sorted({p[:axis] + p[axis + 1:] for p in f.support()})
-    columns = sorted(set(columns)
-                     | {tuple(sc - c for sc, c in zip(s, x)) for x in columns})
-    g: dict[Point, int] = {}
-    h: dict[Point, int] = {}
-    for x in columns:
-        mx = tuple(sc - c for sc, c in zip(s, x))
-        for i in range(n, 0, -1):
-            g[put(mx, -i)] = f[put(mx, -i)] - h.get(put(mx, -i), 0)
-            g[put(x, i)] = -g[put(mx, -i)]
-            h[put(mx, 1 - i)] = g[put(x, i)] - f[put(x, i)]
-            h[put(x, i)] = -h[put(mx, 1 - i)]
-    for x in columns:
-        g[put(x, 0)] = f[put(x, 0)] - h.get(put(x, 0), 0)
-
-    # Recurse on the level-0 slice, then merge its center-piece with g.
-    slice_fn = LatticeFn(r - 1, {x: g[put(x, 0)] for x in columns})
-    g_off = LatticeFn(r, {p: v for p, v in g.items() if p[axis] != 0})
-    sub = _split_parity(slice_fn, s)
-
-    def embed(piece: LatticeFn) -> LatticeFn:
-        return LatticeFn(r, {put(x, 0): v for x, v in piece.items()})
-
-    pieces = [SkewPiece(g_off.add(embed(sub[0].fn)), tuple(tau))]
-    slice_axes = [j for j in range(r) if j != axis]
-    for sub_piece, target_axis in zip(sub[1:], slice_axes):
-        fn = embed(sub_piece.fn)
-        pieces.append(SkewPiece(fn, _bump(tau, target_axis, 1)))
-    pieces.append(SkewPiece(LatticeFn(r, h), _bump(tau, axis, 1)))
-
-    # Reorder so piece alpha sits at center tau + e_alpha/2.
-    ordered = [pieces[0]]
-    by_center = {p.two_center: p for p in pieces[1:]}
-    for alpha in range(r):
-        ordered.append(by_center[_bump(tau, alpha, 1)])
-    return ordered
-
-
-def _bump(two_c: Point, axis: int, step: int) -> Point:
-    return tuple(c + (step if j == axis else 0) for j, c in enumerate(two_c))
-
-
-# ---------------------------------------------------------------------------
-# mass transport onto fixed centers
-# ---------------------------------------------------------------------------
 
 def _transport(f: LatticeFn, centers: list[Point], step: int) -> list[SkewPiece]:
     """Decompose f into dipoles about the given doubled centers.
@@ -290,6 +163,35 @@ def _transport(f: LatticeFn, centers: list[Point], step: int) -> list[SkewPiece]
     return pieces
 
 
+def _transport_at(f: LatticeFn, shift: Point, two_c: Point, step: int) -> list[SkewPiece]:
+    """Transport of f translated by -shift onto _centers(two_c, step), with
+    the pieces translated back by shift.  Callers take shift from the center,
+    so translating f and the center together translates every piece."""
+    moved = f.shift(tuple(-s for s in shift))
+    return [SkewPiece(piece.fn.shift(shift),
+                      tuple(c + 2 * s for c, s in zip(piece.two_center, shift)))
+            for piece in _transport(moved, _centers(two_c, step), step)]
+
+
+# ---------------------------------------------------------------------------
+# the three center families
+# ---------------------------------------------------------------------------
+
+def skew_split_half(f: LatticeFn, two_p: Point) -> list[SkewPiece]:
+    """r+1 pieces skew about p, p + e_1/2, ..., p + e_r/2 (2p = two_p).
+
+    Requires the total sum of f to vanish.
+    """
+    two_p = tuple(two_p)
+    if len(two_p) != f.r:
+        raise ValueError("center dimension mismatch")
+    if f.total() != 0:
+        raise HypothesisViolation(f"total sum is {f.total()}, not 0")
+    shift = tuple(c // 2 for c in two_p)
+    tau = tuple(c - 2 * s for c, s in zip(two_p, shift))
+    return check_pieces(f, _transport_at(f, shift, tau, 1), "half-step split")
+
+
 def skew_split_fixed_centers(f: LatticeFn, two_c: Point) -> list[SkewPiece]:
     """r+1 pieces skew about c, c + e_1, ..., c + e_r where 2c = two_c.
 
@@ -315,38 +217,17 @@ def skew_split_fixed_centers(f: LatticeFn, two_c: Point) -> list[SkewPiece]:
     return check_pieces(f, pieces, "fixed-center split")
 
 
-# ---------------------------------------------------------------------------
-# integer-step centers via grid doubling
-# ---------------------------------------------------------------------------
-
 def skew_split_grid(f: LatticeFn, p: Point) -> list[SkewPiece]:
     """r+1 pieces skew about p, p + e_1, ..., p + e_r for integer p.
 
-    Requires all 2^r grid sums of f to vanish.  Each grid 2Z^r + v is pulled
-    back through x -> 2x + v, split with half-step centers (p - v)/2, and
-    pushed forward; centers transform to p + e_i uniformly in v, so the
-    per-grid pieces add up.
+    Requires all 2^r grid sums of f to vanish.  This is the fixed-center split
+    about the integer point p, where every grid is self-paired; f is moved to
+    put p at the origin, split there, and moved back.
     """
     p = tuple(p)
     if len(p) != f.r:
         raise ValueError("center dimension mismatch")
-    r = f.r
     for v, total in f.grid_sums().items():
         if total != 0:
             raise HypothesisViolation(f"grid {v} sums to {total}, not 0")
-    totals = [zero_fn(r) for _ in range(r + 1)]
-    for v in grid_vectors(r):
-        part = {point: val for point, val in f.items()
-                if tuple(c % 2 for c in point) == v}
-        if not part:
-            continue
-        pulled = LatticeFn(r, {tuple((c - e) // 2 for c, e in zip(point, v)): val
-                               for point, val in part.items()})
-        halves = skew_split_half(pulled, tuple(c - e for c, e in zip(p, v)))
-        for alpha, piece in enumerate(halves):
-            pushed = LatticeFn(r, {tuple(2 * c + e for c, e in zip(point, v)): val
-                                   for point, val in piece.fn.items()})
-            totals[alpha] = totals[alpha].add(pushed)
-    doubled = _centers(tuple(2 * c for c in p), step=2)
-    pieces = [SkewPiece(fn, c) for fn, c in zip(totals, doubled)]
-    return check_pieces(f, pieces, "grid split")
+    return check_pieces(f, _transport_at(f, p, (0,) * f.r, 2), "grid split")

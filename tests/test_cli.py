@@ -232,6 +232,27 @@ def test_oracle_min_length():
     assert data["minimal"] is None
 
 
+def test_min_length_certificate_out_of_budget_verifies(tmp_path):
+    cert_path = tmp_path / "cert.json"
+    run("oracle-min-length", "--word", "a t a a t t", "--max-len", "9",
+        "--max-factors", "4", "--max-states", "10", "--out", str(cert_path))
+    cert = json.loads(cert_path.read_text())
+    assert cert["status"] == "budget-exceeded"
+    run("verify", str(cert_path))
+    cert["max_states"] = 2_000_000  # the re-run now finishes: exact, 3
+    proc = _verify_json(tmp_path, cert)
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
+
+
+def test_min_length_certificate_with_lowered_budget_fails(tmp_path):
+    cert = json.loads(run("oracle-min-length", "--word", "a t a a t t", "--max-len", "9",
+                          "--max-factors", "4").stdout)
+    assert (cert["status"], cert["minimal"]) == ("exact", 3)
+    cert["max_states"] = 10  # the re-run runs out of budget
+    proc = _verify_json(tmp_path, cert)
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
+
+
 def test_rewrites():
     proc = run("rewrite", "commutator", "--g", "x1x2", "--b", "x3")
     data = json.loads(proc.stdout)
@@ -253,6 +274,9 @@ def test_verify_covers_every_certificate_kind(tmp_path):
         ("factor", "metabelian", "--word", "x1x2X1X2", "--r", "2", "--out"),
         ("decompose", "symmetric", "--in", str(frow), "--base", "Z", "--out"),
         ("decompose", "skew", "--in", str(fn), "--mode", "grid", "--p", "0", "--out"),
+        ("decompose", "skew", "--in", str(fn), "--mode", "half", "--two-p", "1", "--out"),
+        ("decompose", "skew", "--in", str(fn), "--mode", "fixed", "--two-c", "-1",
+         "--out"),
         ("decide-two-pal", "--word", "a t a a t t", "--p", "0", "--out"),
         ("certify-width3", "--word", "a t", "--scan-radius", "4", "--out"),
         ("oracle-min-length", "--word", "a t", "--max-len", "3",
@@ -334,13 +358,22 @@ def _tamper(kind, cert):
         cert["factors"][0] = "x1x2"
 
 
-@pytest.mark.parametrize("kind", ["wreath-factorization", "metabelian-factorization",
-                                  "symmetric-split", "skew-split", "two-pal-decision",
-                                  "width3-certificate", "min-length",
-                                  "rewrite-commutator", "rewrite-conjugate"])
-def test_verify_rejects_tampered_certificate_of_every_kind(tmp_path, kind):
+@pytest.mark.parametrize("kind, edit", [
+    *(pytest.param(kind, None, id=kind)
+      for kind in ["wreath-factorization", "metabelian-factorization",
+                   "symmetric-split", "skew-split", "two-pal-decision",
+                   "width3-certificate", "min-length",
+                   "rewrite-commutator", "rewrite-conjugate"]),
+    # a count that disagrees with the factors, which are untouched
+    pytest.param("rewrite-commutator", {"count": 99}, id="rewrite-commutator-count"),
+    pytest.param("rewrite-conjugate", {"count": 0}, id="rewrite-conjugate-count"),
+])
+def test_verify_rejects_tampered_certificate_of_every_kind(tmp_path, kind, edit):
     cert = _certificate(tmp_path, kind)
-    _tamper(kind, cert)
+    if edit is None:
+        _tamper(kind, cert)
+    else:
+        cert.update(edit)
     proc = _verify_json(tmp_path, cert)
     assert proc.returncode == 2, proc.stderr
 
