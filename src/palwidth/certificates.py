@@ -160,6 +160,8 @@ def _check_two_pal(cert: dict) -> None:
 def _check_width3(cert: dict) -> None:
     element = element_from_json(json_field(cert, "input", "certificate"))
     lo, hi = json_point(json_field(cert, "scanned_p", "certificate"), "scanned_p")
+    if lo > hi:
+        raise ValueError(f"scanned_p [{lo}, {hi}] is an empty range")
     verdicts = json_object(json_field(cert, "verdicts", "certificate"), "verdicts")
     found = []
     for p in range(lo, hi + 1):

@@ -322,7 +322,8 @@ def cmd_demo(args) -> int:
         raise VerificationError("demonstration checks failed")
 
     witness_target = lamp_element({0: 1, 1: 2}, 3)
-    witness = certify_width_three(witness_target, scan_radius=args.scan_radius or 25)
+    radius = 25 if args.scan_radius is None else args.scan_radius
+    witness = certify_width_three(witness_target, scan_radius=radius)
     lines.append(f"width-3 witness ({{0:1, 1:2}}, 3): scanned p in "
                  f"[{witness.p_range[0]}, {witness.p_range[1]}], "
                  f"{'no two-palindrome decomposition' if witness.all_none else 'FAIL'}")

@@ -183,6 +183,8 @@ def certify_width_three(target: WreathElement,
                         scan_radius: int | None = None) -> TwoPalWitness:
     """Scan all centers p in [-P, P + |k|] and attach the <=3-factor upper bound."""
     _require_lamp(target)
+    if scan_radius is not None and scan_radius < 0:
+        raise ValueError(f"scan radius must be >= 0, got {scan_radius}")
     radius = default_scan_radius(target) if scan_radius is None else scan_radius
     k = target.shift[0]
     lo, hi = -radius, radius + abs(k)
@@ -239,6 +241,10 @@ def minimal_palindromic_length_bfs(target: WreathElement, max_len: int,
     """Exact minimum number of palindromes of length <= max_len multiplying to
     the target, or the reason none was found within the budget."""
     _require_lamp(target)
+    for name, value in (("max_len", max_len), ("max_factors", max_factors),
+                        ("max_states", max_states)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     if target.is_identity():
         return OracleResult("exact", 0)
 

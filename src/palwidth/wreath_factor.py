@@ -1,16 +1,20 @@
 """Snake words over the lattice box and the bounded palindromic factorizers
 for G wr Z^r.
 
-A snake plan is a Hamiltonian walk of a box together with the insertion slot
-for every box point.  Injecting a mirror-symmetric word-valued function into
-the matching plan yields a palindrome (or a palindrome times one inverse
-letter), and the factorizers assemble those words into certificates.
+A snake plan is a Hamiltonian walk of a box, stored in closed form: its core
+word as runs, and the position of every box point on the walk by formula.
+Injecting a mirror-symmetric word-valued function into the matching plan
+yields a palindrome (or a palindrome times one inverse letter), and the
+factorizers assemble those words into certificates.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
+from typing import Iterable, Iterator
 
 from .errors import VerificationError
 from .lattice import LatticeFn, Point
@@ -20,12 +24,75 @@ from .wreath import WreathContext, WreathElement, evaluate_word
 
 
 @dataclass(frozen=True)
+class SnakeStops:
+    """The box points in walk order, computed on demand.
+
+    The walk is boustrophedon over the slots: slot 1 runs fastest, and each
+    sub-walk over slots 1..s-1 is traversed backwards at every odd coordinate
+    of slot s.  `len`, `[k]` and `index(p)` each cost O(r); `points` and
+    `offsets` do the same for many positions or points at once.
+    """
+
+    n: int
+    axes: tuple[int, ...]    # 0-based lattice axis of each slot
+    blocks: tuple[int, ...]  # points in one sub-walk over slots 1..s, for s = 0..r
+
+    def __len__(self) -> int:
+        return self.blocks[-1]
+
+    def __getitem__(self, k: int) -> Point:
+        if not 0 <= k < len(self):
+            raise IndexError(f"walk stop {k} outside a walk of {len(self)} stops")
+        return self.points([k])[0]
+
+    def __iter__(self) -> Iterator[Point]:
+        return iter(self.points(range(len(self))))
+
+    def index(self, p: Point) -> int:
+        """Walk position of box point p; ValueError when p lies outside the box."""
+        if len(p) != len(self.axes):
+            raise ValueError(f"support point {p} escapes the snake box")
+        return self.offsets([p])[0]
+
+    def points(self, offsets: Iterable[int]) -> list[Point]:
+        """The stop at each walk position; positions must lie in range(len(self))."""
+        n, axes = self.n, self.axes
+        ks = list(offsets)
+        coords: list[list[int]] = [[]] * len(axes)
+        for s in range(len(axes) - 1, 0, -1):
+            block = self.blocks[s]
+            cs = [k // block for k in ks]
+            ks = [block - 1 - k % block if c & 1 else k % block for k, c in zip(ks, cs)]
+            coords[axes[s]] = [c - n for c in cs]
+        coords[axes[0]] = [k - n for k in ks]
+        return list(zip(*coords))
+
+    def offsets(self, points: list[Point]) -> list[int]:
+        """The walk position of each point of rank r; ValueError names the
+        first point outside the box."""
+        n, axes, blocks = self.n, self.axes, self.blocks
+        sizes = [b // a for a, b in zip(blocks, blocks[1:])]
+        ks: list[int] = []
+        for s, (axis, size) in enumerate(zip(axes, sizes)):
+            cs = [p[axis] + n for p in points]
+            if cs and (min(cs) < 0 or max(cs) >= size):
+                bad = next(p for p in points if not all(
+                    0 <= p[a] + n < bound for a, bound in zip(axes, sizes)))
+                raise ValueError(f"support point {bad} escapes the snake box")
+            block = blocks[s]
+            ks = [c * block + (block - 1 - k if c & 1 else k)
+                  for c, k in zip(cs, ks)] if s else cs
+        return ks
+
+
+@dataclass(frozen=True)
 class SnakePlan:
-    """Walk plan for one box: head/core/tail words plus insertion geometry.
+    """Walk plan for one box: head/core/tail words plus the walk's stops.
 
     axis == 0 is the even variant (box [-n, n]^r, core a palindrome);
     axis == i >= 1 is the odd variant for that axis (box stretched to n+1
-    along it, full word = palindrome times x_i^-1).
+    along it, full word = palindrome times x_i^-1).  Stop k of the walk sits
+    after k letters of the core; the walk starts at (-n, ..., -n).
     """
 
     ctx: WreathContext
@@ -35,79 +102,79 @@ class SnakePlan:
     core: Word
     tail: Word
     trailing: Word
-    stops: tuple[Point, ...]
+    stops: SnakeStops
 
     @cached_property
     def word(self) -> Word:
         return concat([self.head, self.core, self.tail, self.trailing])
 
-    @cached_property
-    def prefix_index(self) -> dict[Point, int]:
-        """Box point -> letter offset in `word` after which insertions go."""
-        offset = len(self.head)
-        return {p: offset + k for k, p in enumerate(self.stops)}
 
-
-def _slot_to_axis(r: int, axis: int) -> list[int]:
-    """1-based axis for each template slot; slot 1 plays the distinguished axis."""
+def _slot_axes(r: int, axis: int) -> tuple[int, ...]:
+    """0-based lattice axis of each walk slot; slot 1 plays the distinguished axis."""
     if axis == 0:
-        return list(range(1, r + 1))
-    rest = [a for a in range(1, r + 1) if a != axis]
-    return [axis] + rest
-
-
-def _core_template(r: int, n: int, first_len: int) -> list[tuple[int, int]]:
-    """Letters (slot, sign) of the snake core; slot-1 rows of length first_len."""
-    word: list[tuple[int, int]] = [(1, 1)] * first_len
-    for slot in range(2, r + 1):
-        block = word + [(slot, 1)] + [(g, -s) for g, s in reversed(word)] + [(slot, 1)]
-        word = block * n + word
-    return word
+        return tuple(range(r))
+    return (axis - 1,) + tuple(a for a in range(r) if a != axis - 1)
 
 
 def build_snake(ctx: WreathContext, n: int, axis: int = 0) -> SnakePlan:
-    """Snake plan of box radius n; axis 0 for the even variant, 1..r otherwise."""
+    """Snake plan of box radius n; axis 0 for the even variant, 1..r otherwise.
+
+    The core is built as runs: one slot-1 row, then for each further slot
+    W -> (W x_s W^-1 x_s)^n W, so it costs O((2n+1)^(r-1)) runs.
+    """
     if n < 0:
         raise ValueError(f"box radius must be >= 0, got {n}")
     if not 0 <= axis <= ctx.r:
         raise ValueError(f"axis {axis} out of range for rank {ctx.r}")
     r = ctx.r
-    slots = _slot_to_axis(r, axis)
+    axes = _slot_axes(r, axis)
+    gens = [ctx.lattice_gen(a) for a in axes]
     first_len = 2 * n + (1 if axis else 0)
-    template = _core_template(r, n, first_len)
+    runs: list[tuple[int, int]] = [(gens[0], first_len)] if first_len else []
+    for gen in gens[1:]:
+        step = [(gen, 1)]
+        runs = (runs + step + [(g, -e) for g, e in reversed(runs)] + step) * n + runs
 
-    core_letters = tuple((ctx.lattice_gen(slots[slot - 1] - 1), sign)
-                         for slot, sign in template)
-    start = [-n] * r
-    cur = list(start)
-    stops = [tuple(cur)]
-    for gen, sign in core_letters:
-        cur[gen - ctx.base_size] += sign
-        stops.append(tuple(cur))
-    if len(set(stops)) != len(stops):
-        raise VerificationError("snake walk revisits a box point")
-
-    head = concat([power(ctx.lattice_gen(slots[s] - 1), -n) for s in range(r)])
-    tail = concat([power(ctx.lattice_gen(slots[s] - 1), -n) for s in reversed(range(r))])
+    head = concat([power(gen, -n) for gen in gens])
+    tail = concat([power(gen, -n) for gen in reversed(gens)])
     trailing = Word(((ctx.lattice_gen(axis - 1), -1),)) if axis else EPSILON
-    return SnakePlan(ctx, n, axis, head, Word(core_letters), tail, trailing,
-                     tuple(stops))
+    sizes = (first_len + 1,) + (2 * n + 1,) * (r - 1)
+    stops = SnakeStops(n, axes, tuple(accumulate(sizes, operator.mul, initial=1)))
+    return SnakePlan(ctx, n, axis, head, Word(runs), tail, trailing, stops)
 
 
 def inject(plan: SnakePlan, f: LatticeFn) -> Word:
-    """Insert f(x) at every walk stop x; support must stay inside the box."""
-    slots = set(plan.stops)
-    for p in f.support():
-        if p not in slots:
-            raise ValueError(f"support point {p} escapes the snake box")
+    """Insert f(x) at every walk stop x; support must stay inside the box.
+
+    Costs O(core runs + support * log support): the support points are sorted
+    by walk position and spliced into the core runs in one pass.
+    """
+    stops = plan.stops
+    if f.r != len(stops.axes):
+        raise ValueError(f"rank-{f.r} function injected into a rank-{len(stops.axes)} snake")
+    entries = f.items()
+    points = [p for p, _ in entries]
+    offsets = stops.offsets(points)
+    # stops[index(p)] == p for every p also rules out two points sharing an offset.
+    if stops.points(offsets) != points:
+        raise VerificationError("snake walk revisits a box point")
     runs: list[tuple[int, int]] = list(plan.head.runs)
-    stops = iter(plan.stops)
-    for gen, exp in plan.core.runs:
-        step = (gen, 1 if exp > 0 else -1)
-        for _ in range(abs(exp)):
-            runs.extend(f[next(stops)].runs)
-            runs.append(step)
-    runs.extend(f[next(stops)].runs)
+    core = iter(plan.core.runs)
+    done = 0          # core letters emitted so far
+    gen = rest = 0    # unemitted part of the current core run
+    for k, value in sorted(zip(offsets, [value for _, value in entries])):
+        while done < k:
+            if not rest:
+                gen, rest = next(core)
+            take = min(abs(rest), k - done)
+            piece = take if rest > 0 else -take
+            runs.append((gen, piece))
+            rest -= piece
+            done += take
+        runs.extend(value.runs)
+    if rest:
+        runs.append((gen, rest))
+    runs.extend(core)
     runs.extend(plan.tail.runs)
     runs.extend(plan.trailing.runs)
     return Word(runs)

@@ -4,6 +4,7 @@ Each test prints a PASS line with its runtime; run with `pytest -s` to see
 them.  All checks are exact: no tolerances anywhere.
 """
 
+import json
 import random
 import subprocess
 import sys
@@ -12,10 +13,11 @@ import time
 from palwidth import (CyclicGroup, IntegerGroup, Word, WreathContext, concat,
                       enumerate_palindromes, evaluate_word, evaluate_word_flow,
                       factorize_metabelian, factorize_wreath, factorize_wreath_z,
-                      lamp_element, lattice_word, minimal_palindromic_length_bfs,
-                      multiply, skew_split_fixed_centers, skew_split_grid,
-                      skew_split_half, two_palindrome_decision,
-                      TwoPalDecomposition)
+                      lamp_element, lattice_word, make_element,
+                      minimal_palindromic_length_bfs, multiply,
+                      skew_split_fixed_centers, skew_split_grid, skew_split_half,
+                      two_palindrome_decision, TwoPalDecomposition)
+from palwidth.certificates import verify_certificate, wreath_certificate
 from palwidth.lamplighter import LAMP_CTX, default_scan_radius
 
 from gens import (grid_zero, random_flow_element, random_wreath_element,
@@ -212,3 +214,29 @@ def test_criterion_9_oracle_consistency():
         result = minimal_palindromic_length_bfs(target, 7, 2)
         assert result.status == "exact" and result.minimal <= 2
     _report("9 (oracle consistency, 50 products)", started, 300.0)
+
+
+def _factorize_far_lamps(ctx, lamps, n, budget, name):
+    """factorize_wreath on lamps n away from the origin: its certificate
+    verifies, within the wall-clock budget, in at most 8 runs per box row.
+
+    The snake box has radius about n, so (2n+1)^(r-1) rows; the output has
+    Theta(rows) runs whatever the letter count."""
+    started = time.time()
+    e = make_element(ctx, lamps, (0,) * ctx.r)
+    fact = factorize_wreath(e)
+    cert = wreath_certificate(e, fact, {})
+    verify_certificate(json.loads(json.dumps(cert)))
+    runs = sum(len(w.runs) for w in fact.factors)
+    assert runs <= 8 * (2 * n + 1) ** (ctx.r - 1), runs
+    _report(name, started, budget)
+
+
+def test_size_lone_lamp_far_from_origin_rank2():
+    _factorize_far_lamps(WreathContext(IntegerGroup(), 2), {(1000, 0): 5}, 1000, 1.0,
+                         "size (lamp a^5 at (1000, 0), r = 2)")
+
+
+def test_size_two_far_lamps_rank3_cyclic():
+    _factorize_far_lamps(WreathContext(CyclicGroup(5), 3), {(100, 0, 0): 1, (0, -100, 1): 2},
+                         100, 5.0, "size (Zm:5 lamps at (100,0,0), (0,-100,1), r = 3)")

@@ -52,9 +52,15 @@ def test_instrument_installs_and_uninstalls_every_site():
 def test_traced_spans_keep_their_caller_names():
     tracing = _tracing()
     pw = _palwidth_modules()
+    ctx = pw.wreath.WreathContext(pw.wreath.IntegerGroup(), 2)
+    # symmetric about the origin, so the split is one even piece of box radius 2
+    grid = pw.wreath.make_element(ctx, {(1, 2): 3, (-1, -2): 3}, (0, 0))
     tracer = tracing.Tracer()
     try:
         tracing.instrument(tracer, pw)
+        pw.wreath_factor.factorize_wreath(grid)
+        snake_spans = [span[0] for span in tracer.spans]
+        box_points = tracer.counts["wreath_factor.box_points"]
         lamps = pw.lamplighter.lamp_element({0: 3, 2: -5}, 4)
         flow = random_flow_element(random.Random(1), 2, 2, 3, 2)
         for element, factorize, certify in (
@@ -70,3 +76,6 @@ def test_traced_spans_keep_their_caller_names():
     assert {"wreath.evaluate_word.wreath_factor", "wreath.evaluate_word.certificates",
             "metabelian.evaluate_word_flow.metabelian_factor",
             "metabelian.evaluate_word_flow.certificates"} <= names
+    assert snake_spans.count("wreath_factor.build_snake") == 1
+    assert snake_spans.count("wreath_factor.inject") == 1
+    assert box_points == 5 * 5

@@ -407,3 +407,35 @@ def test_malformed_certificate_field(tmp_path, kind, field, value):
     cert = _certificate(tmp_path, kind)
     cert[field] = value
     _assert_one_line_error(_verify_json(tmp_path, cert))
+
+
+def test_certify_width3_rejects_negative_scan_radius():
+    # A negative radius once gave the empty range [5, -2], a vacuous
+    # all-none verdict table and a certificate that verified.
+    _assert_one_line_error(run("certify-width3", "--word", "a t^3 A",
+                               "--scan-radius", "-5", check=False))
+
+
+def test_verify_rejects_empty_width3_scan(tmp_path):
+    cert = _certificate(tmp_path, "width3-certificate")
+    cert.update(scanned_p=[5, -2], verdicts={}, decompositions_found_at=[], all_none=True)
+    _assert_one_line_error(_verify_json(tmp_path, cert))
+
+
+def test_demo_paper_scan_radius_zero_scans_radius_zero():
+    lines = run("demo-paper", "--scan-radius", "0").stdout.splitlines()
+    assert ("width-3 witness ({0:1, 1:2}, 3): scanned p in [0, 3], "
+            "no two-palindrome decomposition") in lines
+
+
+@pytest.mark.parametrize("flag, field", [("--max-len", "max_len"),
+                                         ("--max-factors", "max_factors"),
+                                         ("--max-states", "max_states")])
+def test_negative_oracle_budget_rejected(tmp_path, flag, field):
+    budgets = {"--max-len": "3", "--max-factors": "2", "--max-states": "100"}
+    budgets[flag] = "-1"
+    args = [arg for item in budgets.items() for arg in item]
+    _assert_one_line_error(run("oracle-min-length", "--word", "a t", *args, check=False))
+    cert = _certificate(tmp_path, "min-length")
+    cert[field] = -1
+    _assert_one_line_error(_verify_json(tmp_path, cert))

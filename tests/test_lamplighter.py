@@ -404,6 +404,12 @@ def test_certify_width_three_witness():
     assert witness.upper.count <= 3
 
 
+def test_certify_rejects_negative_scan_radius():
+    with pytest.raises(ValueError, match="scan radius"):
+        certify_width_three(lamp_element({0: 1}, 3), scan_radius=-5)
+    assert certify_width_three(WITNESS, scan_radius=0).p_range == (0, 3)
+
+
 def test_certify_out_of_hypothesis_still_runs():
     eq = lamp_element({0: 1, 1: 1}, 3)
     witness = certify_width_three(eq, scan_radius=6)
@@ -449,6 +455,15 @@ def test_oracle_budget_guard():
 
     with pytest.raises(BudgetExceeded):
         minimal_palindromic_length_bfs(WITNESS, 7, 5, max_states=500)
+
+
+@pytest.mark.parametrize("budgets", [(-1, 2, 100), (3, -2, 100), (3, 2, -1)])
+def test_oracle_rejects_negative_budgets(budgets):
+    max_len, max_factors, max_states = budgets
+    for target in (lamp_element({}, 0), lamp_element({0: 1}, 1)):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            minimal_palindromic_length_bfs(target, max_len, max_factors,
+                                           max_states=max_states)
 
 
 def test_oracle_three_factors():

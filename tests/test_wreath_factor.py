@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from palwidth import (CyclicGroup, EPSILON, IntegerGroup, LatticeFn, Word,
                       WreathContext, build_snake, concat, evaluate_word,
@@ -52,8 +53,64 @@ def test_snake_is_hamiltonian():
                     size *= d
                 assert len(plan.stops) == size
                 assert len(set(plan.stops)) == size
-                assert len(plan.prefix_index) == size
+                for k in range(size):
+                    assert plan.stops.index(plan.stops[k]) == k
                 assert evaluate_word(ctx, plan.word) == identity_element(ctx)
+
+
+def reference_snake(ctx, n, axis):
+    """Core letters and stops of the snake walked one letter at a time."""
+    r = ctx.r
+    slots = ([axis] + [a for a in range(1, r + 1) if a != axis]) if axis \
+        else list(range(1, r + 1))
+    template = [(1, 1)] * (2 * n + (1 if axis else 0))
+    for slot in range(2, r + 1):
+        block = (template + [(slot, 1)] + [(g, -s) for g, s in reversed(template)]
+                 + [(slot, 1)])
+        template = block * n + template
+    letters = [(ctx.lattice_gen(slots[slot - 1] - 1), sign) for slot, sign in template]
+    cur = [-n] * r
+    stops = [tuple(cur)]
+    for gen, sign in letters:
+        cur[gen - ctx.base_size] += sign
+        stops.append(tuple(cur))
+    return letters, stops
+
+
+def reference_inject(plan, f):
+    """f(x) inserted before every core letter and after the last, stop by stop."""
+    letters, stops = reference_snake(plan.ctx, plan.n, plan.axis)
+    runs = list(plan.head.runs)
+    for letter, stop in zip(letters, stops):
+        runs.extend(f[stop].runs)
+        runs.append(letter)
+    runs.extend(f[stops[-1]].runs)
+    return Word(runs + list(plan.tail.runs) + list(plan.trailing.runs))
+
+
+@st.composite
+def snake_cases(draw):
+    r = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 4))
+    axis = draw(st.integers(0, r))
+    ctx = WreathContext(IntegerGroup(), r)
+    coords = [st.integers(-n, n + 1 if j + 1 == axis else n) for j in range(r)]
+    runs = st.lists(st.tuples(st.integers(0, r), st.sampled_from((-2, -1, 1, 3))),
+                    min_size=1, max_size=3)
+    values = draw(st.dictionaries(st.tuples(*coords), runs.map(Word), max_size=6))
+    return ctx, n, axis, LatticeFn(r, values, EPSILON)
+
+
+# Example budget; never lowered to hide a failure.
+@settings(max_examples=200, deadline=None, database=None)
+@given(snake_cases())
+def test_snake_matches_per_letter_reference(case):
+    ctx, n, axis, f = case
+    plan = build_snake(ctx, n, axis)
+    letters, stops = reference_snake(ctx, n, axis)
+    assert plan.core == Word(letters)
+    assert list(plan.stops) == stops
+    assert inject(plan, f) == reference_inject(plan, f)
 
 
 def test_inject_reproduces_worked_words():
@@ -85,6 +142,16 @@ def test_inject_rejects_escaping_support():
     f = LatticeFn(1, {(5,): IntegerGroup().canonical_word(1)}, EPSILON)
     with pytest.raises(ValueError):
         inject(plan, f)
+
+
+def test_stops_reject_points_outside_the_box():
+    stops = build_snake(ZZ2, 1, axis=2).stops  # box [-1, 1] x [-1, 2]
+    assert len(stops) == 12
+    for p in [(2, 0), (0, 3), (0, -2), (0,), (0, 0, 0)]:
+        with pytest.raises(ValueError, match="escapes the snake box"):
+            stops.index(p)
+    with pytest.raises(IndexError):
+        stops[12]
 
 
 def test_worked_example_factorization():
