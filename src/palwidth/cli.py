@@ -22,8 +22,8 @@ from .lattice import (LatticeFn, json_field, json_int, json_list, json_object,
 from .identities import commutator_three_palindromes, conjugate_factorization
 from .metabelian import evaluate_word_flow, flow_from_json, free_alphabet
 from .metabelian_factor import factorize_metabelian
-from .skew import skew_split_fixed_centers, skew_split_grid, skew_split_half
-from .symmetric import symmetric_split, symmetric_split_refined_r1
+from .skew import check_pieces, skew_split_fixed_centers, skew_split_grid, skew_split_half
+from .symmetric import check_split, symmetric_split, symmetric_split_refined_r1
 from .words import Alphabet, format_word, parse_word
 from .wreath import (WreathContext, base_from_name, element_from_json,
                      element_to_json, evaluate_word)
@@ -127,6 +127,7 @@ def cmd_decompose_symmetric(args) -> int:
     fn = LatticeFn.from_json(data, zero=EPSILON, decode=decode)
     split = (symmetric_split_refined_r1 if args.refined and fn.r == 1
              else symmetric_split)(fn, base)
+    check_split(fn, base, split)
     encode = lambda w: format_word(alphabet, w)
     _emit({
         "kind": "symmetric-split",
@@ -154,6 +155,7 @@ def cmd_decompose_skew(args) -> int:
         if args.two_c is None:
             raise ValueError("--two-c required for mode fixed")
         pieces = skew_split_fixed_centers(fn, _parse_vector(args.two_c, fn.r))
+    check_pieces(fn, pieces, f"{args.mode} split")
     _emit({
         "kind": "skew-split",
         "tool": TOOL,

@@ -6,13 +6,14 @@ with battlement correction words, split each corrected coefficient function
 into skew-symmetric pieces about fixed half-integer centers, and spell each
 bundle of pieces as a palindrome conjugated by at most one generator.
 
-Each stage is an unchecked private builder.  `factorize_metabelian` chains
-them and checks its output once, at its boundary, with
-`words.check_factorization` over the flow model: every factor is a literal
-palindrome, the product evaluates to the input, and the count is within the
-bound.  `palindromize_skew` and `palindromize_gridzero` wrap their builder
-with the same check on their own output; `palindromize_conjugated`, whose
-monomial factors are not palindromes, checks only its product.
+Each stage is an unchecked builder, and so is the skew split the stages
+call.  `factorize_metabelian` chains them and checks its output once, at its
+boundary, with `words.check_factorization` over the flow model: every factor
+is a literal palindrome, the product evaluates to the input, and the count is
+within the bound; skew pieces that do not sum to the input show there as a
+wrong product.  `palindromize_skew` and `palindromize_gridzero` wrap their
+builder with the same check on their own output; `palindromize_conjugated`,
+whose monomial factors are not palindromes, checks only its product.
 `battlement_correct` re-extracts the corrected element to check its grid
 sums, and the pipeline reuses those coefficients rather than extracting
 them again.

@@ -14,8 +14,13 @@ three center families:
 
 Transport moves all mass onto one point per residue class by reflections
 through the centers; the hypothesis of each family is what makes the mass
-left there vanish.  Every public operation re-verifies its output before
-returning it.
+left there vanish.
+
+The split functions are builders: they reject input that breaks their
+family's hypothesis but do not check their own output.  The metabelian
+factorizer checks its final factors at its boundary, where a wrong split
+shows as a wrong product; `decompose skew` and `palwidth verify` run
+`check_pieces` on pieces they emit or read.
 """
 
 from __future__ import annotations
@@ -42,9 +47,9 @@ class SkewPiece:
         )
 
 
-def check_pieces(f: LatticeFn, pieces: list[SkewPiece], context: str) -> list[SkewPiece]:
+def check_pieces(f: LatticeFn, pieces: list[SkewPiece], context: str) -> None:
     """Raise VerificationError unless every piece is skew about its center and
-    the pieces sum to f; return the pieces."""
+    the pieces sum to f."""
     total = zero_fn(f.r)
     for piece in pieces:
         if not piece.is_valid():
@@ -53,7 +58,6 @@ def check_pieces(f: LatticeFn, pieces: list[SkewPiece], context: str) -> list[Sk
         total = total.add(piece.fn)
     if total != f:
         raise VerificationError(f"{context}: pieces do not sum to the input")
-    return pieces
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +163,7 @@ def _transport(f: LatticeFn, centers: list[Point], step: int) -> list[SkewPiece]
         else:
             translate(u, 0, axis + 1)   # net +step*e_axis
 
-    pieces = [SkewPiece(from_items(r, d), c) for d, c in zip(dipoles, centers)]
-    return pieces
+    return [SkewPiece(from_items(r, d), c) for d, c in zip(dipoles, centers)]
 
 
 def _transport_at(f: LatticeFn, shift: Point, two_c: Point, step: int) -> list[SkewPiece]:
@@ -189,7 +192,7 @@ def skew_split_half(f: LatticeFn, two_p: Point) -> list[SkewPiece]:
         raise HypothesisViolation(f"total sum is {f.total()}, not 0")
     shift = tuple(c // 2 for c in two_p)
     tau = tuple(c - 2 * s for c, s in zip(two_p, shift))
-    return check_pieces(f, _transport_at(f, shift, tau, 1), "half-step split")
+    return _transport_at(f, shift, tau, 1)
 
 
 def skew_split_fixed_centers(f: LatticeFn, two_c: Point) -> list[SkewPiece]:
@@ -213,8 +216,7 @@ def skew_split_fixed_centers(f: LatticeFn, two_c: Point) -> list[SkewPiece]:
                 f"grids {v} and {partner} sum to {total} + {sums[partner]} != 0")
     if f.is_zero():
         return _zero_pieces(f.r, two_c, step=2)
-    pieces = _transport(f, _centers(two_c, step=2), step=2)
-    return check_pieces(f, pieces, "fixed-center split")
+    return _transport(f, _centers(two_c, step=2), step=2)
 
 
 def skew_split_grid(f: LatticeFn, p: Point) -> list[SkewPiece]:
@@ -230,4 +232,4 @@ def skew_split_grid(f: LatticeFn, p: Point) -> list[SkewPiece]:
     for v, total in f.grid_sums().items():
         if total != 0:
             raise HypothesisViolation(f"grid {v} sums to {total}, not 0")
-    return check_pieces(f, _transport_at(f, p, (0,) * f.r, 2), "grid split")
+    return _transport_at(f, p, (0,) * f.r, 2)

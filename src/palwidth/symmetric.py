@@ -10,6 +10,12 @@ construction walks the box from the outside in, alternately "jumping" across
 the two mirror centers and using the product identity to fill in the next
 value; ranks above one slice off the last axis and recurse on the fixed
 hyperplane.
+
+The split functions are builders: they reject bad input but do not check
+their own output.  The wreath factorizers check their final factors at their
+boundary, where a wrong split shows as a non-palindrome or a wrong product;
+`decompose symmetric` and `palwidth verify` run `check_split` on a split
+they emit or read.
 """
 
 from __future__ import annotations
@@ -38,19 +44,16 @@ def _word_at(table: dict[Point, Word], point: Point) -> Word:
 
 
 def symmetric_split(f: LatticeFn, base: BaseGroup) -> SymmetricSplit:
-    """Decompose a finitely supported word-valued f; verified before return."""
-    split = _split(f, base, refined=False)
-    check_split(f, base, split)
-    return split
+    """Decompose a finitely supported word-valued f; unchecked, see check_split."""
+    return _split(f, base, refined=False)
 
 
 def symmetric_split_refined_r1(f: LatticeFn, base: BaseGroup) -> SymmetricSplit:
-    """Rank-1 variant that absorbs one palindromic factor of gamma into f0(0)."""
+    """Rank-1 variant that absorbs one palindromic factor of gamma into f0(0);
+    unchecked, see check_split."""
     if f.r != 1:
         raise ValueError(f"refined split needs rank 1, got rank {f.r}")
-    split = _split(f, base, refined=True)
-    check_split(f, base, split)
-    return split
+    return _split(f, base, refined=True)
 
 
 def _split(f: LatticeFn, base: BaseGroup, refined: bool) -> SymmetricSplit:

@@ -117,22 +117,31 @@ class Word:
                      for gen, exp in self.runs for _ in range(abs(exp)))
 
     def split(self, index: int) -> tuple["Word", "Word"]:
-        """(first `index` letters, the rest); a negative index counts from the end."""
+        """(first `index` letters, the rest); a negative index counts from the
+        end, and the walk to it starts from the end too."""
+        length, runs = self._len, self.runs
+        if not -length <= index <= length:
+            raise ValueError(f"split index {index} outside a word of length {length}")
+        if not runs:
+            return self, self
         if index < 0:
-            index += self._len
-        if not 0 <= index <= self._len:
-            raise ValueError(f"split index {index} outside a word of length {self._len}")
-        seen = 0
-        for k, (gen, exp) in enumerate(self.runs):
-            size = abs(exp)
-            if seen + size >= index:
-                cut = index - seen
-                sign = 1 if exp > 0 else -1
-                head = self.runs[:k] + (((gen, sign * cut),) if cut else ())
-                tail = (((gen, exp - sign * cut),) if cut < size else ()) + self.runs[k + 1:]
-                return Word._of(head, index), Word._of(tail, self._len - index)
-            seen += size
-        return self, EPSILON
+            k, seen = len(runs), 0        # seen: letters in runs[k:]
+            while seen < -index:
+                k -= 1
+                seen += abs(runs[k][1])
+            cut = seen + index            # letters of runs[k] left in the head
+            index += length
+        else:
+            k, seen = 0, 0                # seen: letters in runs[:k]
+            while seen + abs(runs[k][1]) < index:
+                seen += abs(runs[k][1])
+                k += 1
+            cut = index - seen            # letters of runs[k] in the head
+        gen, exp = runs[k]
+        sign = 1 if exp > 0 else -1
+        head = runs[:k] + (((gen, sign * cut),) if cut else ())
+        tail = (((gen, exp - sign * cut),) if cut < abs(exp) else ()) + runs[k + 1:]
+        return Word._of(head, index), Word._of(tail, length - index)
 
     def reverse(self) -> "Word":
         """Same letters in reverse order, signs unchanged."""

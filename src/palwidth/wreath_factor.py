@@ -6,6 +6,11 @@ word as runs, and the position of every box point on the walk by formula.
 Injecting a mirror-symmetric word-valued function into the matching plan
 yields a palindrome (or a palindrome times one inverse letter), and the
 factorizers assemble those words into certificates.
+
+The symmetric split and `inject` are unchecked builders.  Each factorizer
+checks its factors once, at its boundary, with `words.check_factorization`:
+a wrong split or a revisited walk stop shows there as a factor that is not
+a palindrome or as a wrong product.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Iterator
 
-from .errors import VerificationError
 from .lattice import LatticeFn, Point
 from .symmetric import symmetric_split, symmetric_split_refined_r1
 from .words import EPSILON, Factorization, Word, check_factorization, concat, power
@@ -120,7 +124,9 @@ def build_snake(ctx: WreathContext, n: int, axis: int = 0) -> SnakePlan:
     """Snake plan of box radius n; axis 0 for the even variant, 1..r otherwise.
 
     The core is built as runs: one slot-1 row, then for each further slot
-    W -> (W x_s W^-1 x_s)^n W, so it costs O((2n+1)^(r-1)) runs.
+    W -> (W x_s W^-1 x_s)^n W, so it costs O((2n+1)^(r-1)) runs.  Rows and
+    unit steps alternate, so the runs are maximal as built, and the core has
+    one letter per move between stops.
     """
     if n < 0:
         raise ValueError(f"box radius must be >= 0, got {n}")
@@ -140,44 +146,48 @@ def build_snake(ctx: WreathContext, n: int, axis: int = 0) -> SnakePlan:
     trailing = Word(((ctx.lattice_gen(axis - 1), -1),)) if axis else EPSILON
     sizes = (first_len + 1,) + (2 * n + 1,) * (r - 1)
     stops = SnakeStops(n, axes, tuple(accumulate(sizes, operator.mul, initial=1)))
-    return SnakePlan(ctx, n, axis, head, Word(runs), tail, trailing, stops)
+    core = Word._of(tuple(runs), len(stops) - 1)
+    return SnakePlan(ctx, n, axis, head, core, tail, trailing, stops)
+
+
+def _core_letters(core: tuple[tuple[int, int], ...], row: int, a: int, b: int) -> Word:
+    """Letters a to b - 1 of a snake core whose runs alternate one slot-1 row
+    of row - 1 letters with one unit step, so letter k lies in run
+    2 * (k // row); whole runs in between are copied as one slice."""
+    def part(run: tuple[int, int], size: int) -> tuple[tuple[int, int], ...]:
+        return ((run[0], size if run[1] > 0 else -size),) if size else ()
+
+    i, x = divmod(a, row)
+    j, y = divmod(b, row)
+    if i == j:
+        runs = part(core[2 * i], y - x) if y > x else ()
+    else:
+        runs = (part(core[2 * i], row - 1 - x) + core[2 * i + 1:2 * j]
+                + (part(core[2 * j], y) if y else ()))
+    return Word._of(runs, b - a)
 
 
 def inject(plan: SnakePlan, f: LatticeFn) -> Word:
     """Insert f(x) at every walk stop x; support must stay inside the box.
 
-    Costs O(core runs + support * log support): the support points are sorted
-    by walk position and spliced into the core runs in one pass.
+    Costs O(support * log support) Python steps: the support points are
+    sorted by walk position, the core letters between consecutive points are
+    cut out by formula, and `concat` merges runs only at the seams.
     """
     stops = plan.stops
     if f.r != len(stops.axes):
         raise ValueError(f"rank-{f.r} function injected into a rank-{len(stops.axes)} snake")
     entries = f.items()
-    points = [p for p, _ in entries]
-    offsets = stops.offsets(points)
-    # stops[index(p)] == p for every p also rules out two points sharing an offset.
-    if stops.points(offsets) != points:
-        raise VerificationError("snake walk revisits a box point")
-    runs: list[tuple[int, int]] = list(plan.head.runs)
-    core = iter(plan.core.runs)
-    done = 0          # core letters emitted so far
-    gen = rest = 0    # unemitted part of the current core run
-    for k, value in sorted(zip(offsets, [value for _, value in entries])):
-        while done < k:
-            if not rest:
-                gen, rest = next(core)
-            take = min(abs(rest), k - done)
-            piece = take if rest > 0 else -take
-            runs.append((gen, piece))
-            rest -= piece
-            done += take
-        runs.extend(value.runs)
-    if rest:
-        runs.append((gen, rest))
-    runs.extend(core)
-    runs.extend(plan.tail.runs)
-    runs.extend(plan.trailing.runs)
-    return Word(runs)
+    offsets = stops.offsets([p for p, _ in entries])
+    core, row = plan.core.runs, stops.blocks[1]
+    parts = [plan.head]
+    done = 0  # core letters emitted so far
+    for k, value in sorted(zip(offsets, [value for _, value in entries]),
+                           key=operator.itemgetter(0)):
+        parts += (_core_letters(core, row, done, k), value)
+        done = k
+    parts += (_core_letters(core, row, done, len(plan.core)), plan.tail, plan.trailing)
+    return concat(parts)
 
 
 def _odd_box_radius(piece: LatticeFn, axis: int) -> int:

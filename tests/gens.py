@@ -1,12 +1,13 @@
-"""Seeded random generators shared by the test modules."""
+"""Seeded random generators and corrupt-split wrappers shared by the test modules."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
-from palwidth import (LatticeFn, SquareCoeffs, Word, WreathContext, grid_vectors,
-                      lattice_word, make_element, multiply_flow,
+from palwidth import (LatticeFn, SkewPiece, SquareCoeffs, Word, WreathContext,
+                      grid_vectors, lattice_word, make_element, multiply_flow,
                       evaluate_word_flow, squares_to_element)
 
 
@@ -81,3 +82,42 @@ def random_flow_element(rng: random.Random, r: int, radius: int, max_val: int,
     element = squares_to_element(SquareCoeffs(r, coeffs))
     shift = tuple(rng.randint(-max_shift, max_shift) for _ in range(r))
     return multiply_flow(element, evaluate_word_flow(r, lattice_word(r, shift)))
+
+
+# Corrupt splits: wrappers around a split function, for tests that a later
+# check rejects what they return.
+
+def wrong_gamma(split_fn):
+    """Symmetric split over Z whose gamma, and gamma factors if any, is one too big."""
+    def tampered(f, base):
+        split = split_fn(f, base)
+        factors = split.gamma_factors
+        if factors is not None:
+            factors = factors + [base.canonical_word(1)]
+        return dataclasses.replace(split, gamma=split.gamma + 1, gamma_factors=factors)
+    return tampered
+
+
+def asymmetric_even_value(split_fn):
+    """Symmetric split whose last even-piece value w becomes w a a^-1: the same
+    group element, but no longer the mirror image of its partner."""
+    def tampered(f, base):
+        split = split_fn(f, base)
+        entries = dict(split.f0.items())
+        point, word = split.f0.items()[-1]
+        entries[point] = word * Word(((0, 1), (0, -1)))
+        return dataclasses.replace(split, f0=LatticeFn(f.r, entries, split.f0.zero))
+    return tampered
+
+
+def extra_dipole(split_fn):
+    """Skew split whose first piece gains a dipole skew about its own center:
+    every piece stays skew, but the pieces no longer sum to the input."""
+    def tampered(f, center):
+        pieces = split_fn(f, center)
+        first = pieces[0]
+        far = (9,) * f.r
+        mirror = tuple(c - x for c, x in zip(first.two_center, far))
+        dipole = LatticeFn(f.r, {far: 1, mirror: -1})
+        return [SkewPiece(first.fn.add(dipole), first.two_center)] + pieces[1:]
+    return tampered

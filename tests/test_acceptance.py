@@ -19,6 +19,7 @@ from palwidth import (CyclicGroup, IntegerGroup, Word, WreathContext, concat,
                       two_palindrome_decision, TwoPalDecomposition)
 from palwidth.certificates import verify_certificate, wreath_certificate
 from palwidth.lamplighter import LAMP_CTX, default_scan_radius
+from palwidth.skew import check_pieces
 
 from gens import (grid_zero, random_flow_element, random_wreath_element,
                   random_word, zero_sum)
@@ -104,15 +105,20 @@ def test_criterion_5_skew_suite():
         r = rng.randint(1, 3)
         f = zero_sum(rng, r, 4, 6)
         two_p = tuple(rng.randint(-3, 3) for _ in range(r))
-        pieces = skew_split_half(f, two_p)  # sums + predicates verified inside
+        pieces = skew_split_half(f, two_p)
+        check_pieces(f, pieces, "half-step split")  # sums + predicates
         assert len(pieces) == r + 1
     for _ in range(500):
         r = rng.randint(1, 3)
         f = grid_zero(rng, r, 4, 6)
         p = tuple(rng.randint(-3, 3) for _ in range(r))
-        assert len(skew_split_grid(f, p)) == r + 1
+        pieces = skew_split_grid(f, p)
+        check_pieces(f, pieces, "grid split")
+        assert len(pieces) == r + 1
         two_c = tuple(rng.randint(-3, 3) for _ in range(r))
-        assert len(skew_split_fixed_centers(f, two_c)) == r + 1
+        pieces = skew_split_fixed_centers(f, two_c)
+        check_pieces(f, pieces, "fixed-center split")
+        assert len(pieces) == r + 1
     _report("5 (skew suite, 500 + 500)", started, 30.0)
 
 

@@ -4,6 +4,10 @@ import sys
 
 import pytest
 
+from palwidth import cli
+
+from gens import extra_dipole, wrong_gamma
+
 CLI = [sys.executable, "-m", "palwidth.cli"]
 
 EXPECTED_TABLE = [
@@ -180,6 +184,25 @@ def test_decompose_skew_modes(tmp_path):
     proc = run("decompose", "skew", "--in", str(fn), "--mode", "fixed",
                "--two-c", "0")
     assert len(json.loads(proc.stdout)["pieces"]) == 2
+
+
+@pytest.mark.parametrize("name, tamper, mode_args", [
+    ("symmetric_split", wrong_gamma, ("symmetric", "--base", "Z")),
+    ("skew_split_half", extra_dipole, ("skew", "--mode", "half", "--two-p", "1")),
+    ("skew_split_grid", extra_dipole, ("skew", "--mode", "grid", "--p", "0")),
+    ("skew_split_fixed_centers", extra_dipole, ("skew", "--mode", "fixed", "--two-c", "-1"))])
+def test_decompose_never_writes_an_unchecked_split(tmp_path, monkeypatch, capsys,
+                                                   name, tamper, mode_args):
+    fn = tmp_path / "fn.json"
+    fn.write_text(json.dumps({"r": 1, "entries": [{"pos": [0], "val": 1},
+                                                  {"pos": [2], "val": -1}]}))
+    out = tmp_path / "split.json"
+    monkeypatch.setattr(cli, name, tamper(getattr(cli, name)))
+    code = cli.main(["decompose", mode_args[0], "--in", str(fn), *mode_args[1:],
+                     "--out", str(out)])
+    assert code == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_decide_two_pal():

@@ -13,7 +13,7 @@ from palwidth import (HypothesisViolation, LatticeFn, SquareCoeffs, Verification
                       palindromize_gridzero, palindromize_skew, metabelian_width_bound,
                       parse_word, squares_to_element)
 
-from gens import random_flow_element
+from gens import extra_dipole, random_flow_element
 
 X2 = free_alphabet(2)
 
@@ -255,7 +255,8 @@ def _extra_palindrome(build):
 
 
 @pytest.mark.parametrize("name, tamper", [("_skew_palindrome", _padded_skew),
-                                          ("_gridzero_factors", _extra_palindrome)])
+                                          ("_gridzero_factors", _extra_palindrome),
+                                          ("skew_split_fixed_centers", extra_dipole)])
 def test_boundary_check_catches_tampered_stage(monkeypatch, name, tamper):
     element = random_flow_element(random.Random(9), 3, 2, 3, 2, points_per_pair=4)
     assert factorize_metabelian(element).count > 0

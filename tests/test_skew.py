@@ -7,6 +7,7 @@ import pytest
 from palwidth import (HypothesisViolation, LatticeFn, SkewPiece,
                       skew_split_fixed_centers, skew_split_grid, skew_split_half,
                       zero_fn)
+from palwidth.skew import check_pieces
 
 from gens import dense_grid_zero, grid_zero, zero_sum
 
@@ -134,6 +135,7 @@ def test_random_halves():
         f = zero_sum(rng, r, 5, 6)
         two_p = tuple(rng.randint(-3, 3) for _ in range(r))
         pieces = skew_split_half(f, two_p)
+        check_pieces(f, pieces, "half-step split")
         assert len(pieces) == r + 1
         expected = [tuple(c + (1 if j == a - 1 else 0) for j, c in enumerate(two_p))
                     for a in range(r + 1)]
@@ -147,9 +149,11 @@ def test_random_grid_and_fixed():
         f = grid_zero(rng, r, 5, 6)
         p = tuple(rng.randint(-3, 3) for _ in range(r))
         pieces = skew_split_grid(f, p)
+        check_pieces(f, pieces, "grid split")
         assert len(pieces) == r + 1
         two_c = tuple(rng.randint(-3, 3) for _ in range(r))
         fixed = skew_split_fixed_centers(f, two_c)
+        check_pieces(f, fixed, "fixed-center split")
         assert len(fixed) == r + 1
         expected = [tuple(c + (2 if j == a - 1 else 0) for j, c in enumerate(two_c))
                     for a in range(r + 1)]

@@ -4,7 +4,7 @@ import pytest
 
 from palwidth import (EPSILON, IntegerGroup, LatticeFn, WordGroup, Alphabet,
                       symmetric_split, symmetric_split_refined_r1, zero_fn)
-from palwidth.symmetric import check_axis_symmetry, check_even_symmetry
+from palwidth.symmetric import check_axis_symmetry, check_even_symmetry, check_split
 
 from gens import random_word
 from test_wreath import F_ROW, G_ROW, H_ROW
@@ -59,8 +59,9 @@ def test_rank2_single_point():
     assert check_even_symmetry(split.f0)
     for axis, piece in enumerate(split.fi):
         assert check_axis_symmetry(piece, axis)
-    # product identity is verified inside symmetric_split; spot-check it at
-    # the support point (gamma only contributes at the origin)
+    check_split(f, Z, split)
+    # spot-check the product identity at the support point (gamma only
+    # contributes at the origin)
     total = sum(Z.evaluate(piece[(1, 1)]) for piece in [split.f0] + split.fi)
     assert total == 1
     at_origin = split.gamma + sum(Z.evaluate(piece[(0, 0)])
@@ -83,8 +84,8 @@ def _random_word_fn(rng, base, r, radius, max_len, max_points=6):
 
 
 def test_random_splits_all_ranks():
-    # 500 random functions, rank <= 3: the constructor verifies symmetry
-    # predicates and the pointwise product identity on every call.
+    # 500 random functions, rank <= 3: check_split verifies the symmetry
+    # predicates and the pointwise product identity of every split.
     rng = random.Random(0)
     free = WordGroup(Alphabet(("a", "b")))
     for trial in range(500):
@@ -93,8 +94,9 @@ def test_random_splits_all_ranks():
         f = _random_word_fn(rng, base, r, 5, 4)
         split = symmetric_split(f, base)
         assert len(split.fi) == r
+        check_split(f, base, split)
         if r == 1:
-            symmetric_split_refined_r1(f, base)
+            check_split(f, base, symmetric_split_refined_r1(f, base))
 
 
 def test_negation_commutes_over_integers():

@@ -242,6 +242,15 @@ def test_operations_match_reference(a, b):
         assert same(head, a[:k]) and same(tail, a[k:])
 
 
+@BUDGET
+@given(run_lists, st.integers(0, 72))
+def test_split_from_either_end_agrees(runs, k):
+    # A negative index walks the runs from the end; both walks cut alike.
+    w = Word(runs)
+    k = k % len(w) if w else 0
+    assert w.split(k) == w.split(k - len(w))
+
+
 def ref_walk(r, modulus, letters):
     """Per-letter walk: generator 0 is the base letter, 1..r move the cursor."""
     lamps, pos = {}, [0] * r

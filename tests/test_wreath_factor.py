@@ -3,12 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from palwidth import (CyclicGroup, EPSILON, IntegerGroup, LatticeFn, Word,
-                      WreathContext, build_snake, concat, evaluate_word,
+from palwidth import (CyclicGroup, EPSILON, IntegerGroup, LatticeFn, VerificationError,
+                      Word, WreathContext, build_snake, concat, evaluate_word,
                       factorize_wreath, factorize_wreath_z, format_word,
-                      identity_element, inject, parse_word)
+                      identity_element, inject, parse_word, wreath_factor)
+from palwidth.symmetric import check_split, symmetric_split, symmetric_split_refined_r1
 
-from gens import random_wreath_element
+from gens import asymmetric_even_value, random_wreath_element, wrong_gamma
 from test_wreath import F_ROW, G_ROW, H_ROW, W_G, W_H, ZZ, lamp
 
 ZZ2 = WreathContext(IntegerGroup(), 2)
@@ -200,10 +201,30 @@ def test_random_factorizations_all_contexts():
             # palindromicity and the product are verified inside; re-check here
             assert all(w.is_palindrome() for w in fact.factors)
             assert evaluate_word(ctx, concat(fact.factors)) == e
+            # the factorizers check only their factors; check the split here
+            words = e.fn.map_values(ctx.base.canonical_word, zero=EPSILON)
+            check_split(words, ctx.base, symmetric_split(words, ctx.base))
             if ctx.r == 1:
                 zfact = factorize_wreath_z(e)
                 assert zfact.count <= 3
                 assert evaluate_word(ctx, concat(zfact.factors)) == e
+                check_split(words, ctx.base, symmetric_split_refined_r1(words, ctx.base))
+
+
+@pytest.mark.parametrize("factorize, name", [
+    (factorize_wreath, "symmetric_split"),
+    (factorize_wreath_z, "symmetric_split_refined_r1")])
+@pytest.mark.parametrize("tamper, message", [
+    (asymmetric_even_value, "not a palindrome"),
+    (wrong_gamma, "does not evaluate")])
+def test_boundary_check_catches_corrupt_split(monkeypatch, factorize, name, tamper, message):
+    # The split is a builder; only the factorizer's final check stands
+    # between a corrupt split and the returned factors.
+    element = lamp(F_ROW, 7)
+    assert factorize(element).count > 0
+    monkeypatch.setattr(wreath_factor, name, tamper(getattr(wreath_factor, name)))
+    with pytest.raises(VerificationError, match=message):
+        factorize(element)
 
 
 def test_determinism():
