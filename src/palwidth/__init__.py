@@ -24,7 +24,8 @@ from .skew import (SkewPiece, skew_split_fixed_centers, skew_split_grid,
 from .symmetric import (SymmetricSplit, symmetric_split,
                         symmetric_split_refined_r1)
 from .words import (Alphabet, EPSILON, Factorization, Word, check_factorization,
-                    concat, format_word, free_equal, parse_word, power)
+                    concat, format_word, free_equal, parse_word, power,
+                    reduced_concat)
 from .wreath import (BaseGroup, CyclicGroup, IntegerGroup, WordGroup,
                      WreathContext, WreathElement, base_from_name,
                      element_from_json, element_to_json, evaluate_word,

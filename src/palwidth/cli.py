@@ -73,6 +73,8 @@ def _load_flow_element(args):
             for item in json_list(data["squares"], "squares"):
                 item = json_object(item, "square")
                 i, j = json_point(json_field(item, "pair", "square"), "pair")
+                if (i - 1, j - 1) in coeffs:
+                    raise ValueError(f"duplicate square for pair {[i, j]}")
                 coeffs[(i - 1, j - 1)] = LatticeFn.from_json(json_field(item, "fn", "square"))
             return squares_to_element(SquareCoeffs(r, coeffs))
         return flow_from_json(data)

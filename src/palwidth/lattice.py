@@ -173,13 +173,16 @@ class LatticeFn:
     @classmethod
     def from_json(cls, data: Any, zero: Any = 0,
                   decode: Callable[[Any], Any] = json_int) -> "LatticeFn":
-        """Inverse of to_json; a malformed shape raises ValueError."""
+        """Inverse of to_json; a malformed shape, or a point given twice,
+        raises ValueError."""
         data = json_object(data, "lattice function")
         r = json_int(json_field(data, "r", "lattice function"), "lattice rank")
         entries = {}
         for item in json_list(json_field(data, "entries", "lattice function"), "entries"):
             item = json_object(item, "lattice entry")
             point = json_point(json_field(item, "pos", "lattice entry"), "entry pos")
+            if point in entries:
+                raise ValueError(f"duplicate lattice entry at pos {list(point)}")
             entries[point] = decode(json_field(item, "val", "lattice entry"))
         return cls(r, entries, zero)
 

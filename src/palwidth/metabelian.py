@@ -272,14 +272,20 @@ def lattice_word(r: int, point: Point) -> Word:
     return concat([power(axis, exp) for axis, exp in enumerate(point)])
 
 
+def square_parts(r: int, pair: Pair, at: Point, value: int) -> tuple[Word, Word, Word]:
+    """The three freely reduced parts m, [x_i, x_j]^value, m^-1 of the
+    conjugate spelled by square_word, m the canonical monomial of `at`."""
+    i, j = pair
+    block = ((i, 1), (j, 1), (i, -1), (j, -1)) if value > 0 else \
+        ((j, 1), (i, 1), (j, -1), (i, -1))
+    m = lattice_word(r, at)
+    return m, Word._of(block * abs(value), 4 * abs(value)), m.invert()
+
+
 def square_word(r: int, pair: Pair, at: Point, value: int) -> Word:
     """Word m [x_i, x_j]^value m^-1, m the canonical monomial of `at`; it
     evaluates to square_flow(r, pair, at, value)."""
-    i, j = pair
-    rho = Word(((i, 1), (j, 1), (i, -1), (j, -1)))
-    m = lattice_word(r, at)
-    core = concat([rho] * value) if value > 0 else concat([rho.invert()] * (-value))
-    return m * core * m.invert()
+    return concat(square_parts(r, pair, at, value))
 
 
 def squares_word(c: SquareCoeffs) -> Word:
@@ -313,7 +319,8 @@ def flow_to_json(e: FlowElement) -> dict:
 
 
 def flow_from_json(data: Any) -> FlowElement:
-    """Inverse of flow_to_json; a malformed shape raises ValueError."""
+    """Inverse of flow_to_json; a malformed shape, or an edge given twice,
+    raises ValueError."""
     data = json_object(data, "flow element")
     r = json_int(json_field(data, "r", "flow element"), "rank")
     edges: dict[Edge, int] = {}
@@ -321,6 +328,8 @@ def flow_from_json(data: Any) -> FlowElement:
         item = json_object(item, "flow edge")
         key = (json_point(json_field(item, "pos", "flow edge"), "edge pos"),
                json_int(json_field(item, "axis", "flow edge"), "edge axis") - 1)
+        if key in edges:
+            raise ValueError(f"duplicate flow edge at pos {list(key[0])}, axis {key[1] + 1}")
         edges[key] = json_int(json_field(item, "val", "flow edge"), "edge value")
     shift = json_point(json_field(data, "shift", "flow element"), "shift")
     try:

@@ -6,6 +6,13 @@ with battlement correction words, split each corrected coefficient function
 into skew-symmetric pieces about fixed half-integer centers, and spell each
 bundle of pieces as a palindrome conjugated by at most one generator.
 
+A bundle's palindrome is G reverse(G), where the half G is the free
+reduction of its conjugates m_u [x_i, x_j]^f(u) m_u^-1 in a fixed order, so
+the monomial walks of neighbouring conjugates cancel.  Free reduction keeps
+the element, and reversal commutes with cancellation, so a reduced G still
+gives a literal palindrome: its middle seam repeats one letter and cannot
+cancel.  Factor counts and bounds are those of the unreduced spelling.
+
 Each stage is an unchecked builder, and so is the skew split the stages
 call.  `factorize_metabelian` chains them and checks its output once, at its
 boundary, with `words.check_factorization` over the flow model: every factor
@@ -27,9 +34,10 @@ from .errors import HypothesisViolation, VerificationError
 from .lattice import LatticeFn, Point
 from .metabelian import (FlowElement, Pair, SquareCoeffs, circulation_to_squares,
                          evaluate_word_flow, invert_flow, lattice_word,
-                         multiply_flow, square_word, squares_to_element)
+                         multiply_flow, square_parts, squares_to_element)
 from .skew import SkewPiece, skew_split_fixed_centers
-from .words import Factorization, Word, check_factorization, concat, power
+from .words import (Factorization, Word, check_factorization, concat, power,
+                    reduced_concat)
 
 
 def metabelian_width_bound(r: int) -> int:
@@ -56,7 +64,12 @@ def _require_skew(coeffs: SquareCoeffs, p: Point) -> None:
 
 
 def _skew_palindrome(coeffs: SquareCoeffs) -> Word:
-    """Unchecked builder behind palindromize_skew."""
+    """Unchecked builder behind palindromize_skew.
+
+    The half G is reduced_concat over the three reduced parts m, rho^|v|,
+    m^-1 of each conjugate, so letters cancel only at part seams, at
+    O(1 + runs cancelled) steps per part; G reverse(G) is then reduced too.
+    """
     r = coeffs.r
     parts: list[Word] = []
     for pair in reversed(coeffs.pairs()):
@@ -65,8 +78,9 @@ def _skew_palindrome(coeffs: SquareCoeffs) -> Word:
         reps = sorted(
             (p for p, _ in fn.items()
              if p > tuple(c - x for c, x in zip(two_c, p))))
-        parts.extend(square_word(r, pair, u, fn[u]) for u in reps)
-    half = concat(parts)
+        for u in reps:
+            parts.extend(square_parts(r, pair, u, fn[u]))
+    half = reduced_concat(parts)
     return half * half.reverse()
 
 
@@ -76,7 +90,10 @@ def palindromize_skew(coeffs: SquareCoeffs) -> Word:
     Support points pair up as {u, -u - e_i - e_j}; spelling only the
     lexicographically larger representative of each pair as u rho^f(u) u^-1
     and appending the reversal of the whole prefix supplies the partners,
-    so the output is literally of the form G reverse(G).
+    so the output is literally of the form G reverse(G).  G is the free
+    reduction of those conjugates in that order: the same element, and
+    since reverse(G) is reduced whenever G is, G reverse(G) is a freely
+    reduced palindrome.
     """
     _require_skew(coeffs, (0,) * coeffs.r)
     word = _skew_palindrome(coeffs)

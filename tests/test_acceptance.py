@@ -14,10 +14,11 @@ from palwidth import (CyclicGroup, IntegerGroup, Word, WreathContext, concat,
                       enumerate_palindromes, evaluate_word, evaluate_word_flow,
                       factorize_metabelian, factorize_wreath, factorize_wreath_z,
                       lamp_element, lattice_word, make_element,
-                      minimal_palindromic_length_bfs, multiply,
+                      minimal_palindromic_length_bfs, multiply, power,
                       skew_split_fixed_centers, skew_split_grid, skew_split_half,
                       two_palindrome_decision, TwoPalDecomposition)
-from palwidth.certificates import verify_certificate, wreath_certificate
+from palwidth.certificates import (metabelian_certificate, verify_certificate,
+                                   wreath_certificate)
 from palwidth.lamplighter import LAMP_CTX, default_scan_radius
 from palwidth.skew import check_pieces
 
@@ -246,3 +247,19 @@ def test_size_lone_lamp_far_from_origin_rank2():
 def test_size_two_far_lamps_rank3_cyclic():
     _factorize_far_lamps(WreathContext(CyclicGroup(5), 3), {(100, 0, 0): 1, (0, -100, 1): 2},
                          100, 5.0, "size (Zm:5 lamps at (100,0,0), (0,-100,1), r = 3)")
+
+
+def test_size_commutator_conjugated_far_rank2():
+    """x1^N [x1,x2] x1^-N at N = 10^4: the skew pieces form a chain of N
+    points whose conjugating monomials cancel pairwise once the skew halves
+    are freely reduced, so the output stays within 16N letters."""
+    n = 10 ** 4
+    started = time.time()
+    word = concat([power(0, n), Word(((0, 1), (1, 1), (0, -1), (1, -1))), power(0, -n)])
+    e = evaluate_word_flow(2, word)
+    fact = factorize_metabelian(e)
+    letters = sum(len(w) for w in fact.factors)
+    assert letters <= 16 * n, letters
+    cert = metabelian_certificate(e, fact, {})
+    verify_certificate(json.loads(json.dumps(cert)))
+    _report("size (x1^N [x1,x2] x1^-N, N = 10^4, r = 2)", started, 2.0)

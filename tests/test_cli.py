@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from palwidth import cli
+from palwidth.certificates import sha256_of
 
 from gens import extra_dipole, wrong_gamma
 
@@ -145,6 +146,47 @@ def test_malformed_flow_edges(tmp_path, edges):
     bad = tmp_path / "element.json"
     bad.write_text(json.dumps({"r": 2, "shift": [0, 0], "edges": edges}))
     _assert_one_line_error(run("factor", "metabelian", "--in", str(bad), check=False))
+
+
+def _entries(*pairs):
+    return [{"pos": list(pos), "val": val} for pos, val in pairs]
+
+
+def test_duplicate_lattice_entry_rejected(tmp_path):
+    # Keeping the last of two entries would certify the lamp value 2.
+    bad = tmp_path / "element.json"
+    bad.write_text(json.dumps({"base": "Z", "r": 1, "shift": [0],
+                               "fn": {"r": 1, "entries": _entries(([0], 1), ([0], 2))}}))
+    _assert_one_line_error(run("factor", "wreath", "--in", str(bad), check=False))
+
+
+def test_duplicate_skew_input_entry_rejected(tmp_path):
+    # Keeping the last entry would read -2 and report a hypothesis violation.
+    bad = tmp_path / "fn.json"
+    bad.write_text(json.dumps({"r": 1, "entries": _entries(([0], 2), ([0], -2))}))
+    _assert_one_line_error(run("decompose", "skew", "--in", str(bad), "--mode", "half",
+                               "--two-p", "0", check=False))
+
+
+@pytest.mark.parametrize("element", [
+    {"r": 2, "shift": [1, 0], "edges": [{"pos": [0, 0], "axis": 1, "val": 1}] * 2},
+    {"r": 2, "squares": [{"pair": [1, 2], "fn": {"r": 2, "entries": _entries(([0, 0], 1))}}]
+     * 2},
+])
+def test_duplicate_flow_input_rejected(tmp_path, element):
+    bad = tmp_path / "element.json"
+    bad.write_text(json.dumps(element))
+    _assert_one_line_error(run("factor", "metabelian", "--in", str(bad), check=False))
+
+
+@pytest.mark.parametrize("kind", ["wreath-factorization", "metabelian-factorization"])
+def test_verify_rejects_repeated_input_entry(tmp_path, kind):
+    cert = _certificate(tmp_path, kind)
+    listed = (cert["input"]["fn"]["entries"] if kind == "wreath-factorization"
+              else cert["input"]["edges"])
+    listed.append(dict(listed[0]))
+    cert["transcript"]["input_sha256"] = sha256_of(cert["input"])
+    _assert_one_line_error(_verify_json(tmp_path, cert))
 
 
 def test_certificate_that_is_a_list(tmp_path):

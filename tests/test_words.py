@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from palwidth import (Alphabet, CyclicGroup, EPSILON, IntegerGroup, Word,
                       WreathContext, concat, evaluate_word, factorize_wreath_z,
-                      format_word, lamp_element, parse_word, power)
+                      format_word, lamp_element, parse_word, power, reduced_concat)
 from palwidth.certificates import verify_certificate, wreath_certificate
 
 from gens import random_word
@@ -240,6 +240,33 @@ def test_operations_match_reference(a, b):
     for k in range(-len(a), len(a) + 1):
         head, tail = wa.split(k)
         assert same(head, a[:k]) and same(tail, a[k:])
+
+
+@st.composite
+def reduced_parts(draw):
+    """Freely reduced words over 3 generators, some followed by inverses of
+    earlier parts or of a part's tail, so that whole parts cancel at a seam
+    and a seam's cancellation can reach back across several parts."""
+    parts = [Word(letters).free_reduce() for letters in draw(st.lists(unit_letters,
+                                                                      max_size=6))]
+    for k in draw(st.lists(st.integers(0, 30), max_size=3)):
+        if not parts:
+            break
+        if k % 2:
+            parts += [w.invert() for w in reversed(parts[-(k % len(parts)) - 1:])]
+        else:
+            _, tail = parts[-1].split(k % (len(parts[-1]) + 1))
+            parts.append(tail.invert())
+    return parts
+
+
+@BUDGET
+@given(reduced_parts())
+def test_reduced_concat_is_free_reduction_of_concat(parts):
+    assert all(w.free_reduce() == w for w in parts)
+    expected = concat(parts).free_reduce()
+    got = reduced_concat(parts)
+    assert got == expected and len(got) == len(expected)
 
 
 @BUDGET
