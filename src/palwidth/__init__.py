@@ -11,10 +11,9 @@ from .lamplighter import (OracleResult, TwoPalDecomposition, TwoPalWitness,
                           two_palindrome_decision)
 from .lattice import LatticeFn, grid_vectors, zero_fn
 from .metabelian import (FlowElement, SquareCoeffs, circulation_to_squares,
-                         element_to_word, evaluate_word_flow, flow_from_json,
-                         flow_to_json, free_alphabet, identity_flow,
-                         invert_flow, lattice_word, multiply_flow,
-                         squares_to_element)
+                         evaluate_word_flow, flow_from_json, flow_to_json,
+                         free_alphabet, identity_flow, invert_flow,
+                         lattice_word, multiply_flow, squares_to_element)
 from .metabelian_factor import (BattlementPlan, battlement_correct,
                                 factorize_metabelian, palindromize_conjugated,
                                 palindromize_gridzero, palindromize_skew,

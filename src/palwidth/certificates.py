@@ -169,7 +169,10 @@ def _check_width3(cert: dict) -> None:
         _check_verdict(json_field(verdicts, str(p), "verdicts"), rerun, f"p={p}")
         if isinstance(rerun, TwoPalDecomposition):
             found.append(p)
-    if cert["all_none"] != (not found):
+    all_none = json_field(cert, "all_none", "certificate")
+    if not isinstance(all_none, bool):
+        raise ValueError(f"all_none must be a boolean, not {type(all_none).__name__}")
+    if all_none != (not found):
         raise VerificationError("all_none flag does not match the verdict table")
     upper = json_object(json_field(cert, "upper_factorization", "certificate"),
                         "upper_factorization")
@@ -185,18 +188,20 @@ def _check_min_length(cert: dict) -> None:
     element = element_from_json(json_field(cert, "input", "certificate"))
     max_len = json_int(json_field(cert, "max_len", "certificate"), "max_len")
     max_factors = json_int(json_field(cert, "max_factors", "certificate"), "max_factors")
+    status = json_str(json_field(cert, "status", "certificate"), "status")
+    minimal = _optional_int(json_field(cert, "minimal", "certificate"), "minimal")
     try:
         rerun = minimal_palindromic_length_bfs(
             element, max_len, max_factors,
             max_states=json_int(cert.get("max_states", 2_000_000), "max_states"))
     except BudgetExceeded:
         rerun = OracleResult("budget-exceeded", None)
-    if rerun.status != cert["status"] or rerun.minimal != cert["minimal"]:
+    if rerun.status != status or rerun.minimal != minimal:
         raise VerificationError("re-run oracle disagrees with the certificate")
-    if cert["status"] == "exact" and cert["minimal"]:
+    if status == "exact" and minimal:
         factors = _words(element.ctx.alphabet, json_field(cert, "witness", "certificate"),
                          "witness factor")
-        if len(factors) != cert["minimal"]:
+        if len(factors) != minimal:
             raise VerificationError("witness length does not match the minimum")
         if any(len(w) > max_len for w in factors):
             raise VerificationError("witness factor is longer than max_len")

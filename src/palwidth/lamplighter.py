@@ -8,6 +8,11 @@ The decision is in closed form.  A target (f, k) is (g, p)(h, k - p) with
 both factors palindromic exactly when, for k != 0 and m = |k|,
 S(c) = S((p - c) mod m) for every residue c, where S(c) is the sum of f over
 x = c mod m; and, for k = 0, when f is symmetric about p/2.
+
+The oracle searches breadth first by factor count, with one layer step on
+plain (shift, lamp items) keys for every depth from 2 on; its `states`
+counts the distinct non-identity elements in the layers it built, the
+palindromes themselves included.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from typing import Mapping
 
 from .errors import BudgetExceeded, HypothesisViolation, VerificationError
 from .lattice import LatticeFn
+# invert is unused here; the benchmark tracer wraps lamplighter.invert.
 from .wreath import (IntegerGroup, WreathContext, WreathElement, evaluate_word,
                      invert, make_element, multiply)
 from .wreath_factor import factorize_wreath_z
@@ -86,6 +92,27 @@ class TwoPalDecomposition:
 
 def _lamps(e: WreathElement) -> dict[int, int]:
     return {p[0]: v for p, v in e.fn.items()}
+
+
+def _key(e: WreathElement) -> tuple:
+    """Hashable (shift, sorted lamp items) of an element of Z wr Z."""
+    return e.shift[0], tuple(sorted(_lamps(e).items()))
+
+
+def _times(a: tuple, b: tuple) -> tuple:
+    """The key of a * b from the keys of a and b: a's lamps plus b's lamps
+    translated by a's shift, and the sum of the shifts."""
+    s, lamps = a
+    t, items = b
+    acc = dict(lamps)
+    for x, v in items:
+        x += s
+        total = acc.get(x, 0) + v
+        if total:
+            acc[x] = total
+        else:
+            del acc[x]
+    return s + t, tuple(sorted(acc.items()))
 
 
 def two_palindrome_decision(target: WreathElement, p: int
@@ -212,18 +239,22 @@ def enumerate_palindromes(max_len: int) -> list[Word]:
 
 
 @functools.lru_cache(maxsize=8)
-def _palindrome_table(max_len: int) -> tuple[Mapping[tuple, tuple[WreathElement, Word]],
-                                             tuple[tuple[tuple, int, Word], ...]]:
-    """The distinct non-identity elements of the palindromes of length <= max_len,
-    keyed by frozen() and each with its first word in enumeration order, and
-    the same elements in the same order as (lamp items, shift, word)."""
-    elements: dict[tuple, tuple[WreathElement, Word]] = {}
+def _palindrome_table(max_len: int) -> tuple[Mapping[tuple, tuple[Word, ...]],
+                                             tuple[tuple[tuple, tuple, Word], ...]]:
+    """The oracle's first layer: the distinct non-identity elements of the
+    palindromes of length <= max_len, each under its _key and with its first
+    word in enumeration order as a one-factor witness; and the same elements
+    in the same order as (key, key of the inverse, word)."""
+    layer: dict[tuple, tuple[Word, ...]] = {}
+    steps: list[tuple[tuple, tuple, Word]] = []
     for w in enumerate_palindromes(max_len):
         e = evaluate_word(LAMP_CTX, w)
-        if not e.is_identity():
-            elements.setdefault(e.frozen(), (e, w))
-    steps = tuple((tuple(_lamps(e).items()), e.shift[0], w) for e, w in elements.values())
-    return MappingProxyType(elements), steps
+        s, lamps = key = _key(e)
+        if not e.is_identity() and key not in layer:
+            layer[key] = (w,)
+            # (f, s)^-1 is (-f translated by -s, -s)
+            steps.append((key, (-s, tuple((x - s, -v) for x, v in lamps)), w))
+    return MappingProxyType(layer), tuple(steps)
 
 
 @dataclass
@@ -231,7 +262,7 @@ class OracleResult:
     status: str  # "exact" | "exceeds-max-factors" | "budget-exceeded"
     minimal: int | None
     palindromes: int = 0
-    states: int = 0
+    states: int = 0  # distinct non-identity elements in the layers built
     witness: list[Word] = field(default_factory=list)
 
 
@@ -239,7 +270,16 @@ def minimal_palindromic_length_bfs(target: WreathElement, max_len: int,
                                    max_factors: int,
                                    max_states: int = 2_000_000) -> OracleResult:
     """Exact minimum number of palindromes of length <= max_len multiplying to
-    the target, or the reason none was found within the budget."""
+    the target, or the reason none was found within the budget.
+
+    Breadth-first over layers: layer d holds the elements first reached as a
+    product of d palindromes, each with one witness.  Layer 1 is the cached
+    palindrome table, and one step on element keys serves every depth d >= 2:
+    the target has length d when e^-1 * target lies in layer d - 1 for some
+    single e, and layer d is singles * layer (d - 1), new elements only.
+    `states` counts the elements of the layers built, layer 1 included, and
+    growing a layer past `max_states` raises BudgetExceeded.
+    """
     _require_lamp(target)
     for name, value in (("max_len", max_len), ("max_factors", max_factors),
                         ("max_states", max_states)):
@@ -248,64 +288,36 @@ def minimal_palindromic_length_bfs(target: WreathElement, max_len: int,
     if target.is_identity():
         return OracleResult("exact", 0)
 
-    elements, steps = _palindrome_table(max_len)
-    if not elements:
+    singles, steps = _palindrome_table(max_len)
+    if not singles:
         return OracleResult("exceeds-max-factors", None)
-    singles = list(elements.values())
+    palindromes = states = len(singles)
+    goal = _key(target)
+    if max_factors >= 1 and goal in singles:
+        return OracleResult("exact", 1, palindromes=palindromes, states=states,
+                            witness=list(singles[goal]))
 
-    if max_factors >= 1 and target.frozen() in elements:
-        return OracleResult("exact", 1, palindromes=len(elements),
-                            witness=[elements[target.frozen()][1]])
-    if max_factors >= 2:
-        # e^-1 * target is (f - f_e) translated by -s_e, with shift k - s_e;
-        # its frozen() key is built here from plain dicts.
-        f = _lamps(target)
-        k = target.shift[0]
-        for lamps, s, w in steps:
-            rest = dict(f)
-            for x, v in lamps:
-                left = rest.get(x, 0) - v
-                if left:
-                    rest[x] = left
-                else:
-                    del rest[x]
-            key = ((1, tuple([((x - s,), v) for x, v in sorted(rest.items())])), (k - s,))
-            hit = elements.get(key)
+    seen = set(singles) | {(0, ())}  # the identity is never a state
+    layer: Mapping[tuple, tuple[Word, ...]] = singles
+    for depth in range(2, max_factors + 1):
+        if depth > 2:
+            grown: dict[tuple, tuple[Word, ...]] = {}
+            for key, ws in layer.items():
+                for e, _, w in steps:
+                    product = _times(e, key)
+                    if product in seen:
+                        continue
+                    seen.add(product)
+                    grown[product] = (w, *ws)
+                    states += 1
+                    if states > max_states:
+                        raise BudgetExceeded(
+                            f"state budget {max_states} exceeded at depth {depth}")
+            layer = grown
+        for _, inverse, w in steps:
+            hit = layer.get(_times(inverse, goal))
             if hit is not None:
-                return OracleResult("exact", 2, palindromes=len(elements),
-                                    witness=[w, hit[1]])
-
-    # Depth >= 3: breadth-first layers over right multiplication by single
-    # palindromes; first visit gives the minimal factor count, and depth d is
-    # tested by dividing one palindrome off the right of the target.
-    layer: dict[tuple, list[Word]] = {key: [w] for key, (_, w) in elements.items()}
-    layer_elems = {key: e for key, (e, _) in elements.items()}
-    visited: set[tuple] = set(layer)
-    states = len(layer)
-    for depth in range(3, max_factors + 1):
-        # Grow the depth-1 layer: L_{depth-1} = L_{depth-2} * singles, new only.
-        new_layer: dict[tuple, list[Word]] = {}
-        new_elems: dict[tuple, WreathElement] = {}
-        for key, ws in layer.items():
-            left = layer_elems[key]
-            for e, w in singles:
-                prod = multiply(left, e)
-                pkey = prod.frozen()
-                if pkey in visited or pkey in new_layer or prod.is_identity():
-                    continue
-                new_layer[pkey] = ws + [w]
-                new_elems[pkey] = prod
-                states += 1
-                if states > max_states:
-                    raise BudgetExceeded(
-                        f"state budget {max_states} exceeded at depth {depth}")
-        visited.update(new_layer)
-        layer, layer_elems = new_layer, new_elems
-        for e, w in singles:
-            rest = multiply(target, invert(e))
-            hit = layer.get(rest.frozen())
-            if hit is not None:
-                return OracleResult("exact", depth, palindromes=len(elements),
-                                    states=states, witness=hit + [w])
-    return OracleResult("exceeds-max-factors", None, palindromes=len(elements),
+                return OracleResult("exact", depth, palindromes=palindromes,
+                                    states=states, witness=[w, *hit])
+    return OracleResult("exceeds-max-factors", None, palindromes=palindromes,
                         states=states)

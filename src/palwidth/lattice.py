@@ -116,16 +116,6 @@ class LatticeFn:
                  for point, val in self._entries.items()}
         return LatticeFn(self.r, moved, self.zero)
 
-    def reflect(self, two_p: Point, neg: Callable[[Any], Any] = operator.neg) -> "LatticeFn":
-        """result(x) = -self(two_p - x); two_p is twice the reflection center."""
-        two_p = tuple(two_p)
-        if len(two_p) != self.r:
-            raise ValueError(f"center {two_p} has wrong dimension (rank {self.r})")
-        # result(x) != 0 exactly when self(two_p - x) != 0.
-        out = {tuple(c - p for c, p in zip(two_p, point)): neg(val)
-               for point, val in self._entries.items()}
-        return LatticeFn(self.r, out, self.zero)
-
     def map_values(self, fn: Callable[[Any], Any], zero: Any = None) -> "LatticeFn":
         new_zero = self.zero if zero is None else zero
         return LatticeFn(self.r, {p: fn(v) for p, v in self._entries.items()}, new_zero)

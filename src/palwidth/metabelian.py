@@ -273,36 +273,14 @@ def lattice_word(r: int, point: Point) -> Word:
 
 
 def square_parts(r: int, pair: Pair, at: Point, value: int) -> tuple[Word, Word, Word]:
-    """The three freely reduced parts m, [x_i, x_j]^value, m^-1 of the
-    conjugate spelled by square_word, m the canonical monomial of `at`."""
+    """The three freely reduced parts m, [x_i, x_j]^value, m^-1 of a
+    conjugate, m the canonical monomial of `at`; their product evaluates to
+    square_flow(r, pair, at, value)."""
     i, j = pair
     block = ((i, 1), (j, 1), (i, -1), (j, -1)) if value > 0 else \
         ((j, 1), (i, 1), (j, -1), (i, -1))
     m = lattice_word(r, at)
     return m, Word._of(block * abs(value), 4 * abs(value)), m.invert()
-
-
-def square_word(r: int, pair: Pair, at: Point, value: int) -> Word:
-    """Word m [x_i, x_j]^value m^-1, m the canonical monomial of `at`; it
-    evaluates to square_flow(r, pair, at, value)."""
-    return concat(square_parts(r, pair, at, value))
-
-
-def squares_word(c: SquareCoeffs) -> Word:
-    """Word spelling every u [x_i,x_j]^f(u) u^-1 with canonical monomials."""
-    return concat([square_word(c.r, pair, point, value)
-                   for pair in c.pairs() for point, value in c.coeffs[pair].items()])
-
-
-def element_to_word(h: FlowElement) -> Word:
-    """A word re-evaluating to h: commutator spelling of the circulation part
-    followed by the canonical shift monomial."""
-    shift_word = lattice_word(h.r, h.shift)
-    circulation = multiply_flow(h, invert_flow(evaluate_word_flow(h.r, shift_word)))
-    word = squares_word(circulation_to_squares(circulation)) * shift_word
-    if evaluate_word_flow(h.r, word) != h:
-        raise VerificationError("word construction does not re-evaluate to the element")
-    return word
 
 
 # ---------------------------------------------------------------------------

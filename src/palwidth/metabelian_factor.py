@@ -211,7 +211,12 @@ def battlement_correct(h: FlowElement) -> tuple[BattlementPlan, FlowElement]:
     hyperplane where all coordinates beyond axis j vanish, so nonzero grid
     sums only occur on grids supported there; the battlement conjugates for
     those grids re-extract as plain coefficient deltas, which makes the
-    correction bookkeeping exact (and re-checked below).
+    correction bookkeeping exact.
+
+    The corrected grid sums are checked here, since a nonzero one would
+    surface later as a hypothesis violation of the skew split.  Each entry's
+    pre-split (at most 2r + 3 palindromes spelling its word) is not: the
+    factorizer's boundary check covers it.
     """
     if any(c != 0 for c in h.shift):
         raise ValueError("battlement correction needs a shift-zero element")
@@ -224,21 +229,12 @@ def battlement_correct(h: FlowElement) -> tuple[BattlementPlan, FlowElement]:
                 continue
             word, factors = _battlement_word(r, pair, v, amount)
             entries.append(BattlementEntry(pair, v, amount, word, factors))
-    per_word_bound = 2 * r + 3
-    for entry in entries:
-        if len(entry.factors) > per_word_bound:
-            raise VerificationError("battlement word exceeds its palindrome budget")
-        if concat(entry.factors) != entry.word:
-            raise VerificationError("battlement pre-split does not spell the word")
-        for w in entry.factors:
-            if not w.is_palindrome():
-                raise VerificationError("battlement pre-split factor not a palindrome")
     corrected = multiply_flow(h, evaluate_word_flow(r, concat([e.word for e in entries])))
     check = circulation_to_squares(corrected)
     for pair in check.pairs():
         if any(check.coeffs[pair].grid_sums().values()):
             raise VerificationError("battlement correction left a nonzero grid sum")
-    return BattlementPlan(entries, per_word_bound, check), corrected
+    return BattlementPlan(entries, 2 * r + 3, check), corrected
 
 
 def factorize_metabelian(g: FlowElement) -> Factorization:

@@ -64,10 +64,6 @@ def check_pieces(f: LatticeFn, pieces: list[SkewPiece], context: str) -> None:
 # mass transport
 # ---------------------------------------------------------------------------
 
-def _zero_pieces(r: int, two_c: Point, step: int) -> list[SkewPiece]:
-    return [SkewPiece(zero_fn(r), c) for c in _centers(two_c, step)]
-
-
 def _centers(two_c: Point, step: int) -> list[Point]:
     """Doubled centers two_c, two_c + step*e_1, ..., two_c + step*e_r."""
     r = len(two_c)
@@ -214,8 +210,6 @@ def skew_split_fixed_centers(f: LatticeFn, two_c: Point) -> list[SkewPiece]:
         elif total + sums[partner] != 0:
             raise HypothesisViolation(
                 f"grids {v} and {partner} sum to {total} + {sums[partner]} != 0")
-    if f.is_zero():
-        return _zero_pieces(f.r, two_c, step=2)
     return _transport(f, _centers(two_c, step=2), step=2)
 
 

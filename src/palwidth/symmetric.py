@@ -6,10 +6,13 @@ The output pieces f_0, ..., f_r satisfy, letter-for-letter,
 
 and their pointwise product (times a leftover base element placed at the
 origin) reproduces the input in the direct sum of base-group copies.  The
-construction walks the box from the outside in, alternately "jumping" across
-the two mirror centers and using the product identity to fill in the next
-value; ranks above one slice off the last axis and recurse on the fixed
-hyperplane.
+construction walks each column along the last axis from the outside in,
+alternately "jumping" across the two mirror centers and using the product
+identity to fill in the next value.  One loop serves every rank: what the
+jumps leave on the hyperplane x_r = 0 is, at rank one, the single leftover
+at the origin, which becomes gamma; at higher ranks it is a rank r - 1
+function that is split recursively, so rank one is the base case of the
+recursion, as in the paper's proof.
 
 The split functions are builders: they reject bad input but do not check
 their own output.  The wreath factorizers check their final factors at their
@@ -39,10 +42,6 @@ class SymmetricSplit:
     gamma_factors: list[Word] | None = None  # palindromic factors for gamma, if known
 
 
-def _word_at(table: dict[Point, Word], point: Point) -> Word:
-    return table.get(point, EPSILON)
-
-
 def symmetric_split(f: LatticeFn, base: BaseGroup) -> SymmetricSplit:
     """Decompose a finitely supported word-valued f; unchecked, see check_split."""
     return _split(f, base, refined=False)
@@ -62,41 +61,6 @@ def _split(f: LatticeFn, base: BaseGroup, refined: bool) -> SymmetricSplit:
     if f.is_zero():
         return SymmetricSplit(base.identity(), zero, [zero] * r,
                               gamma_factors=[] if refined else None)
-    if r == 1:
-        return _split_rank1(f, base, refined)
-    return _split_rank_n(f, base)
-
-
-def _split_rank1(f: LatticeFn, base: BaseGroup, refined: bool) -> SymmetricSplit:
-    norm = base.normalize_word
-    n = max(1, f.box_radius())
-    g: dict[Point, Word] = {}
-    h: dict[Point, Word] = {(-n,): EPSILON}
-    for i in range(n, 0, -1):
-        g[(-i,)] = norm(f[(-i,)] * _word_at(h, (-i,)).invert())
-        g[(i,)] = g[(-i,)].reverse()
-        h[(i,)] = norm(g[(i,)].invert() * f[(i,)])
-        h[(1 - i,)] = h[(i,)].reverse()
-    leftover = norm(f[(0,)] * _word_at(h, (0,)).invert())
-    gamma_factors: list[Word] | None = None
-    if refined:
-        factors = base.palindromic_factorization(base.evaluate(leftover))
-        g[(0,)] = factors[-1] if factors else EPSILON
-        gamma_factors = factors[:-1]
-        gamma = base.identity()
-        for w in gamma_factors:
-            gamma = base.multiply(gamma, base.evaluate(w))
-    else:
-        g[(0,)] = EPSILON
-        gamma = base.evaluate(leftover)
-    return SymmetricSplit(gamma,
-                          LatticeFn(1, g, EPSILON),
-                          [LatticeFn(1, h, EPSILON)],
-                          gamma_factors=gamma_factors)
-
-
-def _split_rank_n(f: LatticeFn, base: BaseGroup) -> SymmetricSplit:
-    r = f.r
     norm = base.normalize_word
     n = max(1, max(abs(p[-1]) for p in f.support()))
     columns = sorted({p[:-1] for p in f.support()}
@@ -106,25 +70,37 @@ def _split_rank_n(f: LatticeFn, base: BaseGroup) -> SymmetricSplit:
     for x in columns:
         mx = tuple(-c for c in x)
         for i in range(n, 0, -1):
-            g[mx + (-i,)] = norm(f[mx + (-i,)] * _word_at(h, mx + (-i,)).invert())
-            g[x + (i,)] = g[mx + (-i,)].reverse()
-            h[x + (i,)] = norm(g[x + (i,)].invert() * f[x + (i,)])
-            h[mx + (1 - i,)] = h[x + (i,)].reverse()
-    for x in columns:
-        g[x + (0,)] = norm(f[x + (0,)] * _word_at(h, x + (0,)).invert())
+            left, right = mx + (-i,), x + (i,)
+            g[left] = norm(f[left] * h.get(left, EPSILON).invert())
+            g[right] = mirrored = g[left].reverse()
+            h[right] = norm(mirrored.invert() * f[right])
+            h[mx + (1 - i,)] = h[right].reverse()
+    # The even symmetry of g can only fail on the hyperplane x_r = 0, where
+    # the jumps leave these values.
+    level0 = {x: norm(f[x + (0,)] * h.get(x + (0,), EPSILON).invert()) for x in columns}
+    odd = LatticeFn(r, h, EPSILON)
 
-    # The even symmetry of g can only fail on the hyperplane x_r = 0; replace
-    # the slice by its own recursive split and merge.
-    slice_fn = LatticeFn(r - 1, {x: g[x + (0,)] for x in columns}, EPSILON)
-    sub = _split(slice_fn, base, refined=False)
+    if r == 1:
+        # The one column is (); its leftover at the origin is gamma.
+        gamma_factors: list[Word] | None = None
+        if refined:
+            factors = base.palindromic_factorization(base.evaluate(level0[()]))
+            g[(0,)] = factors[-1] if factors else EPSILON
+            gamma_factors = factors[:-1]
+            gamma = base.identity()
+            for w in gamma_factors:
+                gamma = base.multiply(gamma, base.evaluate(w))
+        else:
+            gamma = base.evaluate(level0[()])
+        return SymmetricSplit(gamma, LatticeFn(1, g, EPSILON), [odd],
+                              gamma_factors=gamma_factors)
 
-    merged: dict[Point, Word] = {p: w for p, w in g.items() if p[-1] != 0}
+    # Ranks above one replace the slice by its own recursive split and merge.
+    sub = _split(LatticeFn(r - 1, level0, EPSILON), base, refined=False)
     for x, w in sub.f0.items():
-        merged[x + (0,)] = w
-    f0 = LatticeFn(r, merged, EPSILON)
+        g[x + (0,)] = w
     fi = [_embed_level0(piece, r) for piece in sub.fi]
-    fi.append(LatticeFn(r, h, EPSILON))
-    return SymmetricSplit(sub.gamma, f0, fi)
+    return SymmetricSplit(sub.gamma, LatticeFn(r, g, EPSILON), fi + [odd])
 
 
 def _embed_level0(piece: LatticeFn, r: int) -> LatticeFn:

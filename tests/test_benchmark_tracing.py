@@ -72,10 +72,14 @@ def test_traced_spans_keep_their_caller_names():
             pw.certificates.verify_certificate(cert)
     finally:
         tracer.uninstall()
-    names = {span[0] for span in tracer.spans}
+    spans = [span[0] for span in tracer.spans]
+    names = set(spans)
     assert {"wreath.evaluate_word.wreath_factor", "wreath.evaluate_word.certificates",
             "metabelian.evaluate_word_flow.metabelian_factor",
             "metabelian.evaluate_word_flow.certificates"} <= names
     assert snake_spans.count("wreath_factor.build_snake") == 1
     assert snake_spans.count("wreath_factor.inject") == 1
     assert box_points == 5 * 5
+    # one split per factorization: the rank-2 grid, then the rank-1 lamps
+    assert spans.count("symmetric.symmetric_split") == 1
+    assert spans.count("symmetric.symmetric_split_refined_r1") == 1

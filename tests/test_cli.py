@@ -460,6 +460,9 @@ def test_verify_checks_what_a_decomposition_says(tmp_path):
         assert _verify_json(tmp_path, cert).returncode == 2, edit
 
 
+MISSING = object()  # a field value that deletes the field
+
+
 @pytest.mark.parametrize("kind, field, value", [
     ("two-pal-decision", "result", [1]),
     ("width3-certificate", "scanned_p", 5),
@@ -467,11 +470,20 @@ def test_verify_checks_what_a_decomposition_says(tmp_path):
     ("symmetric-split", "axis_pieces", 5),
     ("min-length", "witness", 5),
     ("rewrite-commutator", "factors", 5),
+    ("min-length", "minimal", "1"),
+    ("width3-certificate", "all_none", "yes"),
+    pytest.param("min-length", "status", MISSING, id="min-length-status-missing"),
 ])
 def test_malformed_certificate_field(tmp_path, kind, field, value):
     cert = _certificate(tmp_path, kind)
-    cert[field] = value
-    _assert_one_line_error(_verify_json(tmp_path, cert))
+    if value is MISSING:
+        del cert[field]
+    else:
+        cert[field] = value
+    proc = _verify_json(tmp_path, cert)
+    _assert_one_line_error(proc)
+    if value is MISSING:
+        assert f"has no {field!r} field" in proc.stderr
 
 
 def test_certify_width3_rejects_negative_scan_radius():

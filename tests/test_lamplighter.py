@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from palwidth import (HypothesisViolation, OracleResult, TwoPalDecomposition,
-                      VerificationError, certify_width_three, concat,
+from palwidth import (BudgetExceeded, HypothesisViolation, OracleResult,
+                      TwoPalDecomposition, VerificationError, certify_width_three,
+                      check_factorization, concat,
                       enumerate_palindromes, evaluate_word, format_word, invert,
                       is_palindromic_element, lamp_element,
                       minimal_palindromic_length_bfs, multiply, palindrome_for,
@@ -359,22 +360,51 @@ def _reference_table(max_len):
     return elements
 
 
-def _reference_oracle(target, max_len):
-    """The two-factor oracle as a multiply(invert(e), target) loop over a
-    table rebuilt here from enumerate_palindromes."""
+def _reference_oracle(target, max_len, max_factors=2):
+    """The oracle as multiply(invert(e), target) loops over a table rebuilt
+    here from enumerate_palindromes, with the WreathElement search that the
+    plain-dict layers replaced at depth >= 3."""
     elements = _reference_table(max_len)
     if target.is_identity():
         return OracleResult("exact", 0)
-    if target.frozen() in elements:
-        return OracleResult("exact", 1, palindromes=len(elements),
+    # every later return has built the single layer, which counts as states
+    if max_factors >= 1 and target.frozen() in elements:
+        return OracleResult("exact", 1, palindromes=len(elements), states=len(elements),
                             witness=[elements[target.frozen()][1]])
-    for e, w in elements.values():
-        hit = elements.get(multiply(invert(e), target).frozen())
-        if hit is not None:
-            return OracleResult("exact", 2, palindromes=len(elements), witness=[w, hit[1]])
-    # the depth >= 3 search starts from the single layer, which counts as states
+    if max_factors >= 2:
+        for e, w in elements.values():
+            hit = elements.get(multiply(invert(e), target).frozen())
+            if hit is not None:
+                return OracleResult("exact", 2, palindromes=len(elements),
+                                    states=len(elements), witness=[w, hit[1]])
+    # Depth >= 3: breadth-first layers over right multiplication by single
+    # palindromes; depth d divides one palindrome off the right of the target.
+    singles = list(elements.values())
+    layer = {key: [w] for key, (_, w) in elements.items()}
+    layer_elems = {key: e for key, (e, _) in elements.items()}
+    visited = set(layer)
+    states = len(layer)
+    for depth in range(3, max_factors + 1):
+        new_layer, new_elems = {}, {}
+        for key, ws in layer.items():
+            left = layer_elems[key]
+            for e, w in singles:
+                prod = multiply(left, e)
+                pkey = prod.frozen()
+                if pkey in visited or pkey in new_layer or prod.is_identity():
+                    continue
+                new_layer[pkey] = ws + [w]
+                new_elems[pkey] = prod
+                states += 1
+        visited.update(new_layer)
+        layer, layer_elems = new_layer, new_elems
+        for e, w in singles:
+            hit = layer.get(multiply(target, invert(e)).frozen())
+            if hit is not None:
+                return OracleResult("exact", depth, palindromes=len(elements),
+                                    states=states, witness=hit + [w])
     return OracleResult("exceeds-max-factors", None, palindromes=len(elements),
-                        states=len(elements))
+                        states=states)
 
 
 _PALINDROMES_9 = enumerate_palindromes(9)
@@ -394,6 +424,39 @@ def test_oracle_two_factor_step_matches_reference(max_len, target):
     assert (got.status, got.minimal, got.palindromes, got.states) == \
         (want.status, want.minimal, want.palindromes, want.states)
     assert got.witness == want.witness
+
+
+def _search_cases(bounds):
+    """(bounds, target): a product of three palindromes within max_len, or a
+    few small lamps."""
+    pals = enumerate_palindromes(bounds[0])
+    return st.tuples(st.just(bounds), st.one_of(
+        st.lists(st.sampled_from(pals), min_size=3, max_size=3)
+        .map(lambda ws: evaluate_word(LAMP_CTX, concat(ws))),
+        st.builds(lamp_element, st.dictionaries(st.integers(-2, 2), st.integers(-3, 3),
+                                                min_size=1, max_size=3),
+                  st.integers(-3, 3))))
+
+
+# (max_len, max_factors) pairs; the reference takes seconds per example once
+# a (5, 4) search runs past depth 3.
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.sampled_from([(3, 3), (3, 4), (4, 3), (4, 4), (5, 3)]).flatmap(_search_cases))
+@example(((3, 4), lamp_element({0: 3, 2: -3}, 3)))  # exact at depth 4
+@example(((3, 4), lamp_element({-2: 3, 1: -3, 2: 2}, -3)))  # no 4 factors
+@example(((4, 4), lamp_element({-2: 3, 0: -3, 2: 3}, 1)))  # 15,478 states
+def test_oracle_matches_reference_search(case):
+    (max_len, max_factors), target = case
+    got = minimal_palindromic_length_bfs(target, max_len, max_factors)
+    want = _reference_oracle(target, max_len, max_factors)
+    assert (got.status, got.minimal, got.palindromes, got.states) == \
+        (want.status, want.minimal, want.palindromes, want.states)
+    assert len(got.witness) == (got.minimal or 0)
+    if got.minimal:
+        assert all(len(w) <= max_len for w in got.witness)
+        check_factorization(lambda w: evaluate_word(LAMP_CTX, w), target, got.witness)
+    if got.minimal is not None and got.minimal <= 2:
+        assert got.witness == want.witness  # deeper witnesses may differ
 
 
 def test_certify_width_three_witness():
@@ -451,8 +514,6 @@ def test_oracle_consistent_with_decision():
 
 
 def test_oracle_budget_guard():
-    from palwidth import BudgetExceeded
-
     with pytest.raises(BudgetExceeded):
         minimal_palindromic_length_bfs(WITNESS, 7, 5, max_states=500)
 

@@ -25,21 +25,6 @@ def test_shift_composition():
         assert f.shift((0,) * r) == f
 
 
-def test_reflect():
-    f = LatticeFn(1, {(0,): 1})
-    assert f.reflect((-1, -1)[:1]) == LatticeFn(1, {(-1,): -1})
-    g = LatticeFn(2, {(0, 0): 1})
-    assert g.reflect((-1, -1)) == LatticeFn(2, {(-1, -1): -1})
-    skew = LatticeFn(1, {(0,): 1, (1,): -1})
-    assert skew.reflect((1,)) == skew  # fixed by reflection through 1/2
-    rng = random.Random(1)
-    for _ in range(100):
-        r = rng.randint(1, 3)
-        f = random_lattice_int(rng, r, 4, 5)
-        c = tuple(rng.randint(-3, 3) for _ in range(r))
-        assert f.reflect(c).reflect(c) == f
-
-
 def test_grid_sum_examples():
     f = LatticeFn(2, {(0, 0): 1})
     assert f.grid_sum((0, 0)) == 1

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from palwidth import (FlowElement, LatticeFn, SquareCoeffs, VerificationError, Word,
-                      circulation_to_squares, element_to_word, evaluate_word_flow,
+                      circulation_to_squares, evaluate_word_flow,
                       flow_from_json, flow_to_json, free_alphabet, identity_flow,
                       invert_flow, lattice_word, multiply_flow, parse_word,
                       squares_to_element)
@@ -158,16 +158,6 @@ def test_extraction_is_left_inverse_on_top_pairs():
         sc = SquareCoeffs(r, coeffs)
         extracted = circulation_to_squares(squares_to_element(sc))
         assert extracted.coeffs == sc.coeffs
-
-
-def test_element_to_word_round_trip():
-    rng = random.Random(5)
-    for _ in range(100):
-        r = rng.randint(2, 3)
-        element = random_flow_element(rng, r, 3, 2, 3, points_per_pair=3)
-        word = element_to_word(element)
-        assert evaluate_word_flow(r, word) == element
-    assert element_to_word(identity_flow(2)) == parse_word(X2, "")
 
 
 def test_flow_json_round_trip():

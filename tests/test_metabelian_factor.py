@@ -276,12 +276,23 @@ def _extra_palindrome(build):
     return lambda coeffs: build(coeffs) + [power(1, 3)]
 
 
+def _extra_presplit_palindrome(build):
+    def tampered(*args):
+        word, factors = build(*args)
+        return word, factors + [power(1, 3)]
+    return tampered
+
+
 @pytest.mark.parametrize("name, tamper", [("_skew_palindrome", _padded_skew),
                                           ("_gridzero_factors", _extra_palindrome),
-                                          ("skew_split_fixed_centers", extra_dipole)])
+                                          ("skew_split_fixed_centers", extra_dipole),
+                                          ("_battlement_word", _extra_presplit_palindrome)])
 def test_boundary_check_catches_tampered_stage(monkeypatch, name, tamper):
     element = random_flow_element(random.Random(9), 3, 2, 3, 2, points_per_pair=4)
     assert factorize_metabelian(element).count > 0
+    shift_word = concat([power(axis, exp) for axis, exp in enumerate(element.shift) if exp])
+    h = multiply_flow(element, evaluate_word_flow(3, shift_word.invert()))
+    assert battlement_correct(h)[0].entries  # so _battlement_word runs
     monkeypatch.setattr(metabelian_factor, name, tamper(getattr(metabelian_factor, name)))
     with pytest.raises(VerificationError):
         factorize_metabelian(element)
