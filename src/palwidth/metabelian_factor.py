@@ -180,28 +180,35 @@ class BattlementPlan:
 
 def _battlement_word(r: int, pair: Pair, grid: Point, amount: int
                      ) -> tuple[Word, list[Word]]:
-    """Correction word for one (pair, grid) cell and its palindrome pre-split.
+    """Correction word for one (pair, grid) cell, amount D != 0, and its
+    palindrome pre-split.
 
-    Conjugating (x_j x_i x_j^-1 x_i)^D x_i^(-2D) into the grid multiplies the
-    element by D inverse commutators placed on that grid; the core splits as
-    x_j times an alternating palindrome, negative D through the inverse core.
+    The core (x_j x_i x_j^-1 x_i)^D x_i^(-2D) places D inverse commutators
+    on the grid, 2 apart along axis i, all on one side of the grid point and
+    up to 2|D| from it.  Conjugating the core by o = x_i^(-2 floor(D/2))
+    (x_i^(2 floor(|D|/2)) when D < 0) centres that line on the grid point,
+    within |D| + 1 of it on either side; o commutes with the tail, so the word
+    is still the core conjugated into the grid.  The core splits as x_j
+    times an alternating palindrome (that palindrome times x_j^-1 through
+    the inverse core when D < 0); o is absorbed into those two factors, as
+    o A o and o^-1 B o^-1 for the split A B, so the count is still that of
+    the grid monomials plus 3.
     """
     i, j = pair
     d = amount
     open_parts = [power(axis, grid[axis]) for axis in range(r) if grid[axis]]
     close_parts = [w.invert() for w in reversed(open_parts)]
     block = Word(((j, 1), (i, 1), (j, -1), (i, 1)))
-    core = concat([block] * d) if d > 0 else concat([block.invert()] * (-d))
-    tail = power(i, -2 * d)
-    word = concat(open_parts + [core, tail] + close_parts)
-
-    core_factors: list[Word] = []
-    if d > 0:
-        core_factors = list(core.split(1))
-    elif d < 0:
-        core_factors = list(core.split(-1))
-    factors = open_parts + core_factors + ([tail] if tail else []) + close_parts
-    return word, [w for w in factors if w]
+    core = concat([block] * d) if d > 0 else concat([block.invert()] * -d)
+    first, second = core.split(1 if d > 0 else -1)
+    centre = 2 * (abs(d) // 2)
+    o = power(i, -centre if d > 0 else centre)
+    factors = (open_parts
+               + [reduced_concat([o, first, o]),
+                  reduced_concat([o.invert(), second, o.invert()]),
+                  power(i, -2 * d)]
+               + close_parts)
+    return concat(factors), factors
 
 
 def battlement_correct(h: FlowElement) -> tuple[BattlementPlan, FlowElement]:
@@ -211,7 +218,10 @@ def battlement_correct(h: FlowElement) -> tuple[BattlementPlan, FlowElement]:
     hyperplane where all coordinates beyond axis j vanish, so nonzero grid
     sums only occur on grids supported there; the battlement conjugates for
     those grids re-extract as plain coefficient deltas, which makes the
-    correction bookkeeping exact.
+    correction bookkeeping exact.  Each word spreads its amount D over a
+    line of |D| commutators along axis i, centred on the grid point; the
+    skew split then carries that mass back, so a correction costs Theta(D^2)
+    letters, about half of what a line running 2|D| to one side would.
 
     The corrected grid sums are checked here, since a nonzero one would
     surface later as a hypothesis violation of the skew split.  Each entry's

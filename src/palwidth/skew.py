@@ -81,42 +81,56 @@ def _transport(f: LatticeFn, centers: list[Point], step: int) -> list[SkewPiece]
     the dipole v*(delta_u - delta_sigma(u)) to piece alpha; composing a move
     about centers[alpha] with one about centers[0] translates mass by
     +-step*e_alpha.  Every point is carried to the canonical representative
-    of its residue class mod step (the origin when step is 1); what remains
-    there is a class sum, which the hypotheses force to zero, except that for
-    step 2 opposite classes may cancel through one extra reflection.
+    of its residue class mod step (the origin when step is 1), one step at a
+    time along its first axis off the representative; what remains there is
+    a class sum, which the hypotheses force to zero, except that for step 2
+    opposite classes may cancel through one extra reflection.
+
+    Each unit of mass follows that same route whatever the order of moves,
+    and dipoles are linear in v, so the order changes no piece; it only
+    decides how often mass merges.  Points are moved farthest first, by
+    their per-axis distances to the representative read from the last axis
+    down: a move strictly lowers that key, so every unit headed through a
+    point has arrived before the point moves, and each point moves once.
     """
     r = f.r
-    residual = dict(f.items())
+    residual: dict[Point, int] = {}
     dipoles: list[list[tuple[Point, int]]] = [[] for _ in centers]
-    # Max-heap (points negated) of every point that entered the residual off
-    # its representative; entries that left the residual since are skipped.
-    heap: list[Point] = []
+    # Min-heap of (negated per-axis distances to the representative, last
+    # axis first; point) for every point that entered the residual off its
+    # representative, so the farthest pops first, ties by point.  Entries
+    # that left the residual since are skipped.
+    heap: list[tuple[Point, Point]] = []
 
     def canonical(u: Point) -> Point:
         return tuple(c % step if step > 1 else 0 for c in u)
 
-    def enter(u: Point) -> None:
-        if u != canonical(u):
-            heapq.heappush(heap, tuple(-c for c in u))
+    def deposit(u: Point, v: int) -> None:
+        """Add v at u; a point new to the residual enters the heap."""
+        total = residual.get(u, 0) + v
+        if total == 0:
+            del residual[u]
+            return
+        if u not in residual:
+            target = canonical(u)
+            if u != target:
+                key = tuple(-abs(c - t) for c, t in zip(reversed(u), reversed(target)))
+                heapq.heappush(heap, (key, u))
+        residual[u] = total
 
-    for u in residual:
-        enter(u)
+    for u, v in f.items():
+        deposit(u, v)
 
     def reflect(u: Point, alpha: int) -> Point:
         return tuple(c - x for c, x in zip(centers[alpha], u))
 
-    def half_move(u: Point, alpha: int) -> Point:
+    def half_move(u: Point, alpha: int) -> None:
         """One reflection: relocate all mass at u to sigma_alpha(u)."""
         v = residual.pop(u)
         dest = reflect(u, alpha)
         dipoles[alpha].append((u, v))
         dipoles[alpha].append((dest, -v))
-        residual[dest] = residual.get(dest, 0) + v
-        if residual[dest] == 0:
-            del residual[dest]
-        else:
-            enter(dest)
-        return dest
+        deposit(dest, v)
 
     def translate(u: Point, alpha_first: int, alpha_second: int) -> None:
         """Two reflections moving the mass at u without disturbing the
@@ -128,11 +142,7 @@ def _transport(f: LatticeFn, centers: list[Point], step: int) -> list[SkewPiece]
         dipoles[alpha_first].append((mid, -v))
         dipoles[alpha_second].append((mid, v))
         dipoles[alpha_second].append((end, -v))
-        residual[end] = residual.get(end, 0) + v
-        if residual[end] == 0:
-            del residual[end]
-        else:
-            enter(end)
+        deposit(end, v)
 
     guard = 0
     limit = 8 * (sum(sum(abs(c) for c in p) + 2 * r for p in f.support()) + 4 ** r + 4)
@@ -140,7 +150,7 @@ def _transport(f: LatticeFn, centers: list[Point], step: int) -> list[SkewPiece]
         guard += 1
         if guard > max(limit, 10_000):
             raise VerificationError("transport failed to terminate")
-        while heap and tuple(-c for c in heap[0]) not in residual:
+        while heap and heap[0][1] not in residual:
             heapq.heappop(heap)
         if not heap:
             # Everything sits on representatives; cancel the lex-greatest
@@ -151,7 +161,7 @@ def _transport(f: LatticeFn, centers: list[Point], step: int) -> list[SkewPiece]
                                           "cannot cancel (self-paired class)")
             half_move(u, 0)
             continue
-        u = tuple(-c for c in heapq.heappop(heap))
+        u = heapq.heappop(heap)[1]
         target = canonical(u)
         axis = next(j for j in range(r) if u[j] != target[j])
         if u[axis] > target[axis]:

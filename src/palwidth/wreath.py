@@ -201,6 +201,9 @@ class WordGroup(BaseGroup):
     def power(self, gen: int, exp: int) -> Word:
         return power(gen, exp)
 
+    def canonical(self, value: Word) -> Word:
+        return value.free_reduce()
+
     def canonical_word(self, element: Word) -> Word:
         return element
 

@@ -10,27 +10,28 @@ import subprocess
 import sys
 import time
 
-from palwidth import (CyclicGroup, IntegerGroup, Word, WreathContext, concat,
+from palwidth import (CyclicGroup, IntegerGroup, LatticeFn, SquareCoeffs, Word,
+                      WreathContext, concat,
                       enumerate_palindromes, evaluate_word, evaluate_word_flow,
                       factorize_metabelian, factorize_wreath, factorize_wreath_z,
                       lamp_element, lattice_word, make_element,
                       minimal_palindromic_length_bfs, multiply, power,
                       skew_split_fixed_centers, skew_split_grid, skew_split_half,
-                      two_palindrome_decision, TwoPalDecomposition)
+                      squares_to_element, two_palindrome_decision, TwoPalDecomposition)
 from palwidth.certificates import (metabelian_certificate, verify_certificate,
                                    wreath_certificate)
 from palwidth.lamplighter import LAMP_CTX, default_scan_radius
 from palwidth.skew import check_pieces
 
-from gens import (grid_zero, random_flow_element, random_wreath_element,
-                  random_word, zero_sum)
+from gens import (dense_grid_zero, grid_zero, random_flow_element,
+                  random_wreath_element, random_word, zero_sum)
 
 WITNESS = lamp_element({0: 1, 1: 2}, 3)
 
 
 def _report(name: str, started: float, budget: float) -> None:
     elapsed = time.time() - started
-    print(f"ACCEPTANCE {name}: PASS ({elapsed:.2f}s, budget {budget:.0f}s)")
+    print(f"ACCEPTANCE {name}: PASS ({elapsed:.2f}s, budget {budget:g}s)")
     assert elapsed < budget, f"{name} exceeded its runtime budget"
 
 
@@ -263,3 +264,41 @@ def test_size_commutator_conjugated_far_rank2():
     cert = metabelian_certificate(e, fact, {})
     verify_certificate(json.loads(json.dumps(cert)))
     _report("size (x1^N [x1,x2] x1^-N, N = 10^4, r = 2)", started, 2.0)
+
+
+def _factorize_battlement_heavy(e, v, letters_per_v2, budget, name):
+    """factorize_metabelian on an element whose grid sums are about v: the
+    battlement lines put about v commutators on each grid, centred on its
+    grid point, so the skew pieces carry Theta(v^2) mass.  The output stays
+    within letters_per_v2 * v^2 letters and its certificate verifies, within
+    the wall-clock budget."""
+    started = time.time()
+    fact = factorize_metabelian(e)
+    letters = sum(len(w) for w in fact.factors)
+    assert letters <= letters_per_v2 * v * v, letters
+    cert = metabelian_certificate(e, fact, {})
+    verify_certificate(json.loads(json.dumps(cert)))
+    _report(name, started, budget)
+
+
+def test_size_commutator_power_rank2():
+    v = 300
+    e = evaluate_word_flow(2, concat([Word(((0, 1), (1, 1), (0, -1), (1, -1)))] * v))
+    _factorize_battlement_heavy(e, v, 4.5, 1.5, "size ([x1,x2]^300, r = 2)")
+
+
+def test_size_different_grid_pair_rank2():
+    v = 100
+    e = squares_to_element(SquareCoeffs(2, {(0, 1): LatticeFn(2, {(0, 0): v, (3, 1): -v})}))
+    _factorize_battlement_heavy(e, v, 9.0, 1.0,
+                                "size (+-100 at (0,0) and (3,1), r = 2)")
+
+
+def test_time_half_split_dense_rank1():
+    """skew_split_half moves each point's merged mass once, so 1400 points
+    within radius 1000 split in well under a second."""
+    f = dense_grid_zero(random.Random(1), 1, 1000, 9, 1400)
+    started = time.time()
+    pieces = skew_split_half(f, (0,))
+    _report("time (skew_split_half, 1400 points in radius 1000)", started, 0.5)
+    check_pieces(f, pieces, "half-step split")

@@ -1,17 +1,19 @@
 import hashlib
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from palwidth import metabelian_factor
-from palwidth.certificates import canonical_json, metabelian_certificate
+from palwidth.certificates import (canonical_json, metabelian_certificate,
+                                   verify_certificate)
 from palwidth import (HypothesisViolation, LatticeFn, SquareCoeffs, VerificationError,
                       battlement_correct, power,
                       circulation_to_squares, concat, evaluate_word_flow,
                       factorize_metabelian, format_word, free_alphabet, grid_vectors,
-                      identity_flow, multiply_flow, palindromize_conjugated,
-                      palindromize_gridzero, palindromize_skew, metabelian_width_bound,
+                      identity_flow, lattice_word, multiply_flow,
+                      palindromize_conjugated, palindromize_gridzero, palindromize_skew, metabelian_width_bound,
                       parse_word, squares_to_element)
 
 from gens import extra_dipole, random_flow_element
@@ -189,6 +191,35 @@ def test_battlement_inverse_factors():
         assert w.is_palindrome()
 
 
+# Example budget; never lowered to hide a failure.
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_battlement_word_properties(data):
+    r = data.draw(st.integers(2, 5), label="r")
+    i, j = data.draw(st.sampled_from([(i, j) for j in range(r) for i in range(j)]),
+                     label="pair")
+    grid = data.draw(st.tuples(*[st.integers(0, 1)] * r), label="grid")
+    d = data.draw(st.integers(1, 60), label="|D|") * data.draw(st.sampled_from((1, -1)))
+    word, factors = metabelian_factor._battlement_word(r, (i, j), grid, d)
+    for w in factors:
+        assert w.is_palindrome() and w.free_reduce() == w
+    # the grid monomial and its inverse, around x_j, P and the tail
+    assert len(factors) == 2 * sum(grid) + 3 <= 2 * r + 3
+    flow = evaluate_word_flow(r, concat(factors))
+    assert flow == evaluate_word_flow(r, word)
+    # Conjugated back from the grid point, the word is a line of pair-(i, j)
+    # commutators on axis i, within |D| + 1 of the origin on either side.
+    m = lattice_word(r, grid)
+    line = circulation_to_squares(evaluate_word_flow(r, concat([m.invert(), word, m])))
+    assert line.pairs() == [(i, j)]
+    fn = line.coeffs[(i, j)]
+    assert squares_to_element(SquareCoeffs(r, {(i, j): fn.shift(grid)})) == flow
+    assert fn.grid_sums() == {v: 0 if any(v) else -d for v in grid_vectors(r)}
+    for point, _ in fn.items():
+        assert abs(point[i]) <= abs(d) + 1
+        assert not any(c for k, c in enumerate(point) if k != i)
+
+
 def test_factorize_identity():
     assert factorize_metabelian(identity_flow(2)).count == 0
 
@@ -229,10 +260,11 @@ def test_factorize_determinism():
 
 
 # sha256 of the canonical certificate text of the elements below.  It was
-# taken from the certificates of the unreduced skew spelling with every
-# factor text free-reduced and the transcript recomputed, so the reduced
-# spelling changes nothing else.
-GOLDEN_CERTS_SHA256 = "8192d9d5af55802417eb564029860aad899187021d637adb99662675f98ebd57"
+# last re-pinned when battlement lines were centred on their grid points;
+# GOLDEN_COUNTS and their verification were pinned first, on the uncentred
+# spelling, so the new text is the same elements with the same counts.
+GOLDEN_CERTS_SHA256 = "ab8e873d56716b5d2ecc907e8fa770496bb5c38be7094e5106adf2febd73af36"
+GOLDEN_COUNTS = [21, 26, 2, 24, 79, 118, 70, 53, 208, 187, 148, 148]
 
 
 def _golden_factorizations():
@@ -248,6 +280,14 @@ def test_certificates_match_golden():
              for element, fact in _golden_factorizations()]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == GOLDEN_CERTS_SHA256
+
+
+def test_golden_counts_and_certificates_verify():
+    counts = []
+    for element, fact in _golden_factorizations():
+        counts.append(fact.count)
+        verify_certificate(json.loads(json.dumps(metabelian_certificate(element, fact, {}))))
+    assert counts == GOLDEN_COUNTS
 
 
 def test_golden_factors_are_freely_reduced():

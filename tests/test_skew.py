@@ -193,12 +193,29 @@ def test_same_center_pieces_add():
 # still rescanned the whole residual for every move; picking moves from a
 # heap must not change a single dipole.
 DENSE_PIECES_SHA256 = "7843b7ec3bdaf3af8c4c419496d9c1b8c422996dae5552f8aab7a81254d00e82"
+# The same for the half-step and grid splits, taken while the heap still
+# popped the lex-greatest point first: the order of moves decides only how
+# mass merges, never a piece.
+DENSE_HALF_PIECES_SHA256 = "7cc59fa791d1b5ee2a6b09d0a24e96b386d3d01da43b130583de089f46479814"
+DENSE_GRID_PIECES_SHA256 = "7dbe68a6adefb9810cc0faf2100646400f3616c46f66d03ddc147be91bb515f8"
+
+
+def _dense_pieces_sha256(split, center):
+    f = dense_grid_zero(random.Random(280), 2, 12, 9, 280)
+    assert f.support_size() == 282
+    pieces = split(f, center)
+    blob = json.dumps([[list(p.two_center), p.fn.to_json()] for p in pieces],
+                      sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def test_fixed_centers_dense_pieces_pinned():
-    f = dense_grid_zero(random.Random(280), 2, 12, 9, 280)
-    assert f.support_size() == 282
-    pieces = skew_split_fixed_centers(f, (-1, -1))
-    blob = json.dumps([[list(p.two_center), p.fn.to_json()] for p in pieces],
-                      sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(blob.encode()).hexdigest() == DENSE_PIECES_SHA256
+    assert _dense_pieces_sha256(skew_split_fixed_centers, (-1, -1)) == DENSE_PIECES_SHA256
+
+
+def test_half_dense_pieces_pinned():
+    assert _dense_pieces_sha256(skew_split_half, (1, -1)) == DENSE_HALF_PIECES_SHA256
+
+
+def test_grid_dense_pieces_pinned():
+    assert _dense_pieces_sha256(skew_split_grid, (1, 0)) == DENSE_GRID_PIECES_SHA256

@@ -5,8 +5,8 @@ import pytest
 
 from palwidth import (CyclicGroup, IntegerGroup, WordGroup, WreathContext,
                       Alphabet, base_from_name, element_from_json, element_to_json,
-                      evaluate_word, factorize_wreath, identity_element, invert,
-                      make_element, multiply, parse_word)
+                      concat, evaluate_word, factorize_wreath, factorize_wreath_z,
+                      identity_element, invert, make_element, multiply, parse_word)
 from palwidth.certificates import verify_certificate, wreath_certificate
 
 from gens import random_wreath_element
@@ -145,4 +145,15 @@ def test_free_base_round_trip_and_certificate():
         assert data["base"] == "free:a,b"
         assert element_from_json(data) == e
         fact = factorize_wreath(e)
+        verify_certificate(json.loads(json.dumps(wreath_certificate(e, fact, {}))))
+
+
+def test_free_base_lamp_values_are_reduced():
+    # The lamp B b is the identity, so the element is t itself.
+    ctx = WreathContext(base_from_name("free:a,b"), 1)
+    e = make_element(ctx, {(0,): parse_word(ctx.base.alphabet, "B b")}, (1,))
+    assert e == evaluate_word(ctx, parse_word(ctx.alphabet, "t"))
+    for factorize in (factorize_wreath_z, factorize_wreath):
+        fact = factorize(e)
+        assert evaluate_word(ctx, concat(fact.factors)) == e
         verify_certificate(json.loads(json.dumps(wreath_certificate(e, fact, {}))))
