@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -7,6 +9,7 @@ from palwidth import (CyclicGroup, EPSILON, IntegerGroup, LatticeFn, Verificatio
                       Word, WreathContext, build_snake, concat, evaluate_word,
                       factorize_wreath, factorize_wreath_z, format_word,
                       identity_element, inject, parse_word, wreath_factor)
+from palwidth.certificates import canonical_json, verify_certificate, wreath_certificate
 from palwidth.symmetric import check_split, symmetric_split, symmetric_split_refined_r1
 
 from gens import asymmetric_even_value, random_wreath_element, wrong_gamma
@@ -233,3 +236,33 @@ def test_determinism():
     first = factorize_wreath(e)
     second = factorize_wreath(e)
     assert first.factors == second.factors
+
+
+# sha256 over the canonical JSON of the certificates below, one per line.
+GOLDEN_CERTS_SHA256 = "f19b6545d7e4a6a6d064997afb4d6b5b2d31bbbf27933a1566d917b62d627760"
+
+
+def _golden_certificates():
+    """Seeded Z and Zm:5 elements at ranks 1-3, through both factorizers at rank 1."""
+    rng = random.Random(20261019)
+    for base, values in ((IntegerGroup(), (-7, -2, 1, 3, 12)), (CyclicGroup(5), (1, 2, 3, 4))):
+        for r, radius in ((1, 6), (2, 3), (3, 2)):
+            ctx = WreathContext(base, r)
+            factorizers = (factorize_wreath_z, factorize_wreath) if r == 1 \
+                else (factorize_wreath,)
+            for _ in range(5):
+                e = random_wreath_element(rng, ctx, radius, values, 3, max_points=6)
+                for factorize in factorizers:
+                    yield wreath_certificate(e, factorize(e), {})
+
+
+def test_certificates_match_golden():
+    lines = [canonical_json(cert) for cert in _golden_certificates()]
+    assert len(lines) == 40
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == GOLDEN_CERTS_SHA256
+
+
+def test_golden_certificates_verify():
+    for cert in _golden_certificates():
+        verify_certificate(json.loads(json.dumps(cert)))
