@@ -24,7 +24,7 @@ from .metabelian import evaluate_word_flow, flow_from_json, free_alphabet
 from .metabelian_factor import factorize_metabelian
 from .skew import check_pieces, skew_split_fixed_centers, skew_split_grid, skew_split_half
 from .symmetric import check_split, symmetric_split, symmetric_split_refined_r1
-from .words import Alphabet, format_word, parse_word
+from .words import Alphabet, EPSILON, format_word, parse_word
 from .wreath import (WreathContext, base_from_name, element_from_json,
                      element_to_json, evaluate_word)
 from .wreath_factor import factorize_wreath, factorize_wreath_z
@@ -120,11 +120,9 @@ def cmd_decompose_symmetric(args) -> int:
     alphabet = base.alphabet
 
     def decode(raw):
-        if isinstance(raw, int):
-            return base.canonical_word(raw)
-        return parse_word(alphabet, raw)
-
-    from .words import EPSILON
+        if isinstance(raw, str):
+            return parse_word(alphabet, raw)
+        return base.canonical_word(base.canonical(base.decode_value(raw)))
 
     fn = LatticeFn.from_json(data, zero=EPSILON, decode=decode)
     split = (symmetric_split_refined_r1 if args.refined and fn.r == 1
@@ -290,8 +288,6 @@ DEMO_SHIFT = 7
 def cmd_demo(args) -> int:
     element = lamp_element(DEMO_F, DEMO_SHIFT)
     base = element.ctx.base
-    from .words import EPSILON
-
     words_fn = element.fn.map_values(base.canonical_word, zero=EPSILON)
     split = symmetric_split_refined_r1(words_fn, base)
     g_row = {p[0]: base.evaluate(w) for p, w in split.f0.items()}

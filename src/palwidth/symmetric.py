@@ -14,6 +14,10 @@ at the origin, which becomes gamma; at higher ranks it is a rank r - 1
 function that is split recursively, so rank one is the base case of the
 recursion, as in the paper's proof.
 
+Values inside, words at the boundary: each input word is evaluated once, the
+jumps run on base-group values, and each distinct result is spelled once by
+`canonical_word`, whose law with `reverse` makes the pieces mirror images.
+
 The split functions are builders: they reject bad input but do not check
 their own output.  The wreath factorizers check their final factors at their
 boundary, where a wrong split shows as a non-palindrome or a wrong product;
@@ -24,6 +28,7 @@ they emit or read.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Any
 
 from .errors import VerificationError
@@ -56,55 +61,56 @@ def symmetric_split_refined_r1(f: LatticeFn, base: BaseGroup) -> SymmetricSplit:
 
 
 def _split(f: LatticeFn, base: BaseGroup, refined: bool) -> SymmetricSplit:
-    r = f.r
-    zero = LatticeFn(r, {}, EPSILON)
-    if f.is_zero():
-        return SymmetricSplit(base.identity(), zero, [zero] * r,
-                              gamma_factors=[] if refined else None)
-    norm = base.normalize_word
-    n = max(1, max(abs(p[-1]) for p in f.support()))
-    columns = sorted({p[:-1] for p in f.support()}
-                     | {tuple(-c for c in p[:-1]) for p in f.support()})
-    g: dict[Point, Word] = {}
-    h: dict[Point, Word] = {}
+    gamma, pieces = _split_values(f.r, {p: base.evaluate(w) for p, w in f.items()}, base)
+    # One spelling per distinct value: h is constant between support points.
+    distinct = {v for piece in pieces for v in piece.values()}
+    spelled = {v: base.canonical_word(v) for v in distinct}
+    f0, *fi = [{p: spelled[v] for p, v in piece.items()} for piece in pieces]
+    gamma_factors: list[Word] | None = None
+    if refined:
+        # Rank one: gamma's last palindromic factor stays at the origin of f0.
+        factors = base.palindromic_factorization(gamma)
+        if factors:
+            f0[(0,)] = factors[-1]
+        gamma_factors = factors[:-1]
+        gamma = reduce(base.multiply, map(base.evaluate, gamma_factors), base.identity())
+    return SymmetricSplit(gamma, LatticeFn(f.r, f0, EPSILON),
+                          [LatticeFn(f.r, piece, EPSILON) for piece in fi],
+                          gamma_factors=gamma_factors)
+
+
+def _split_values(r: int, f: dict[Point, Any], base: BaseGroup
+                  ) -> tuple[Any, list[dict[Point, Any]]]:
+    """gamma and the pieces of f (the even one, then one per axis) as base values."""
+    multiply, invert, reverse = base.multiply, base.invert, base.reverse
+    ident = base.identity()
+    if not f:
+        return ident, [{} for _ in range(r + 1)]
+    n = max(1, max(abs(p[-1]) for p in f))
+    columns = sorted({p[:-1] for p in f} | {tuple(-c for c in p[:-1]) for p in f})
+    g: dict[Point, Any] = {}
+    h: dict[Point, Any] = {}
     for x in columns:
         mx = tuple(-c for c in x)
         for i in range(n, 0, -1):
             left, right = mx + (-i,), x + (i,)
-            g[left] = norm(f[left] * h.get(left, EPSILON).invert())
-            g[right] = mirrored = g[left].reverse()
-            h[right] = norm(mirrored.invert() * f[right])
-            h[mx + (1 - i,)] = h[right].reverse()
+            g[left] = v = multiply(f.get(left, ident), invert(h.get(left, ident)))
+            g[right] = v = reverse(v)
+            h[right] = v = multiply(invert(v), f.get(right, ident))
+            h[mx + (1 - i,)] = reverse(v)
     # The even symmetry of g can only fail on the hyperplane x_r = 0, where
     # the jumps leave these values.
-    level0 = {x: norm(f[x + (0,)] * h.get(x + (0,), EPSILON).invert()) for x in columns}
-    odd = LatticeFn(r, h, EPSILON)
-
+    level0 = {x: multiply(f.get(x + (0,), ident), invert(h.get(x + (0,), ident)))
+              for x in columns}
     if r == 1:
         # The one column is (); its leftover at the origin is gamma.
-        gamma_factors: list[Word] | None = None
-        if refined:
-            factors = base.palindromic_factorization(base.evaluate(level0[()]))
-            g[(0,)] = factors[-1] if factors else EPSILON
-            gamma_factors = factors[:-1]
-            gamma = base.identity()
-            for w in gamma_factors:
-                gamma = base.multiply(gamma, base.evaluate(w))
-        else:
-            gamma = base.evaluate(level0[()])
-        return SymmetricSplit(gamma, LatticeFn(1, g, EPSILON), [odd],
-                              gamma_factors=gamma_factors)
-
+        return level0[()], [g, h]
     # Ranks above one replace the slice by its own recursive split and merge.
-    sub = _split(LatticeFn(r - 1, level0, EPSILON), base, refined=False)
-    for x, w in sub.f0.items():
-        g[x + (0,)] = w
-    fi = [_embed_level0(piece, r) for piece in sub.fi]
-    return SymmetricSplit(sub.gamma, LatticeFn(r, g, EPSILON), fi + [odd])
-
-
-def _embed_level0(piece: LatticeFn, r: int) -> LatticeFn:
-    return LatticeFn(r, {x + (0,): w for x, w in piece.items()}, EPSILON)
+    gamma, (sub_even, *sub_axes) = _split_values(
+        r - 1, {x: v for x, v in level0.items() if v != ident}, base)
+    for x, v in sub_even.items():
+        g[x + (0,)] = v
+    return gamma, [g, *[{x + (0,): v for x, v in piece.items()} for piece in sub_axes], h]
 
 
 def check_even_symmetry(piece: LatticeFn) -> bool:

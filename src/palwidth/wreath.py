@@ -19,9 +19,12 @@ from .words import Alphabet, EPSILON, Word, power
 class BaseGroup:
     """Contract for the base factor of the wreath product.
 
-    Subclasses supply exact group arithmetic, evaluation of words over the
-    base alphabet, a palindromic factorization with a declared width bound,
-    and a word normalization hook used by the symmetric decomposition.
+    Subclasses supply exact group arithmetic on hashable values, evaluation
+    of words over the base alphabet, a fixed spelling `canonical_word` with
+    its mirror `reverse`, and a palindromic factorization with a declared
+    width bound.  The symmetric split computes on values and relies on the
+    law canonical_word(reverse(v)) == canonical_word(v).reverse(), letter
+    for letter, for every canonical value v.
     """
 
     name: str
@@ -56,9 +59,9 @@ class BaseGroup:
         """A fixed representative word for the element."""
         raise NotImplementedError
 
-    def normalize_word(self, word: Word) -> Word:
-        """Canonical word form where the group has one; verbatim otherwise."""
-        return word
+    def reverse(self, element: Any) -> Any:
+        """The value whose canonical word is canonical_word(element).reverse()."""
+        raise NotImplementedError
 
     def palindromic_factorization(self, element: Any) -> list[Word]:
         """Palindromic words whose product evaluates to the element.
@@ -113,26 +116,22 @@ class IntegerGroup(BaseGroup):
     def canonical_word(self, element: int) -> Word:
         return power(0, element)
 
-    def normalize_word(self, word: Word) -> Word:
-        return self.canonical_word(self.evaluate(word))
+    def reverse(self, element: int) -> int:
+        return element
 
     def palindromic_factorization(self, element: int) -> list[Word]:
         return [self.canonical_word(element)] if element else []
 
 
-class CyclicGroup(BaseGroup):
+class CyclicGroup(IntegerGroup):
     """Z_m under addition mod m, generated by `a`; canonical exponents in [0, m)."""
 
     def __init__(self, m: int) -> None:
         if m < 2:
             raise ValueError(f"modulus must be >= 2, got {m}")
+        super().__init__()
         self.m = m
         self.name = f"Zm:{m}"
-        self.alphabet = Alphabet(("a",))
-        self.pw = 1
-
-    def identity(self) -> int:
-        return 0
 
     def multiply(self, a: int, b: int) -> int:
         return (a + b) % self.m
@@ -149,18 +148,11 @@ class CyclicGroup(BaseGroup):
     def canonical(self, value: int) -> int:
         return value % self.m
 
-    def decode_value(self, raw: Any) -> int:
-        return json_int(raw, "lamp value")
-
     def canonical_word(self, element: int) -> Word:
         return power(0, element % self.m)
 
-    def normalize_word(self, word: Word) -> Word:
-        return self.canonical_word(self.evaluate(word))
-
     def palindromic_factorization(self, element: int) -> list[Word]:
-        element %= self.m
-        return [self.canonical_word(element)] if element else []
+        return super().palindromic_factorization(element % self.m)
 
 
 class WordGroup(BaseGroup):
@@ -206,6 +198,9 @@ class WordGroup(BaseGroup):
 
     def canonical_word(self, element: Word) -> Word:
         return element
+
+    def reverse(self, element: Word) -> Word:
+        return element.reverse()
 
     def palindromic_factorization(self, element: Word) -> list[Word]:
         if self._factorization is not None:

@@ -240,6 +240,23 @@ def _factorize_far_lamps(ctx, lamps, n, budget, name):
     _report(name, started, budget)
 
 
+def test_size_lone_lamp_far_from_origin_rank1():
+    """factorize_wreath_z on one lamp a^5 at t^N, N = 10^4: the split is
+    centred at the origin, so its chain runs from the lamp to the origin and
+    the output has Theta(N) runs; its certificate verifies."""
+    n = 10 ** 4
+    started = time.time()
+    e = make_element(WreathContext(IntegerGroup(), 1), {(n,): 5}, (0,))
+    fact = factorize_wreath_z(e)
+    assert fact.count == 3
+    runs = sum(len(w.runs) for w in fact.factors)
+    letters = sum(len(w) for w in fact.factors)
+    assert runs <= 8 * n + 8 and letters <= 28 * n, (runs, letters)
+    cert = wreath_certificate(e, fact, {})
+    verify_certificate(json.loads(json.dumps(cert)))
+    _report("size (lamp a^5 at t^N, N = 10^4, r = 1)", started, 1.0)
+
+
 def test_size_lone_lamp_far_from_origin_rank2():
     _factorize_far_lamps(WreathContext(IntegerGroup(), 2), {(1000, 0): 5}, 1000, 1.0,
                          "size (lamp a^5 at (1000, 0), r = 2)")

@@ -216,6 +216,14 @@ def test_decompose_symmetric(tmp_path):
     assert even[(0,)] == "a^-2"
 
 
+@pytest.mark.parametrize("value, base", [(3, "free:a,b"), (2.5, "Z"), (True, "Z")])
+def test_decompose_symmetric_rejects_malformed_values(tmp_path, value, base):
+    fn = tmp_path / "fn.json"
+    fn.write_text(json.dumps({"r": 1, "entries": [{"pos": [1], "val": value}]}))
+    _assert_one_line_error(run("decompose", "symmetric", "--in", str(fn), "--base", base,
+                               check=False))
+
+
 def test_decompose_skew_modes(tmp_path):
     fn = tmp_path / "fn.json"
     fn.write_text(json.dumps({"r": 1, "entries": [{"pos": [0], "val": 1},

@@ -109,3 +109,20 @@ def test_negation_commutes_over_integers():
         assert nsplit.gamma == -split.gamma
         assert nsplit.f0 == split.f0.map_values(lambda w: w.invert(), EPSILON)
         assert nsplit.fi[0] == split.fi[0].map_values(lambda w: w.invert(), EPSILON)
+
+
+def test_free_base_pieces_are_freely_reduced():
+    # The split computes on reduced words and spells them as they are, so
+    # every piece value is freely reduced even when the input words are not.
+    rng = random.Random(2)
+    free = WordGroup(Alphabet(("a", "b")))
+    for _ in range(300):
+        r = rng.randint(1, 3)
+        f = _random_word_fn(rng, free, r, 4, 6)
+        splits = [symmetric_split(f, free)]
+        if r == 1:
+            splits.append(symmetric_split_refined_r1(f, free))
+        for split in splits:
+            check_split(f, free, split)
+            for piece in [split.f0] + split.fi:
+                assert all(w.free_reduce() == w for _, w in piece.items())

@@ -2,8 +2,9 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from palwidth import (CyclicGroup, IntegerGroup, WordGroup, WreathContext,
+from palwidth import (CyclicGroup, IntegerGroup, Word, WordGroup, WreathContext,
                       Alphabet, base_from_name, element_from_json, element_to_json,
                       concat, evaluate_word, factorize_wreath, factorize_wreath_z,
                       identity_element, invert, make_element, multiply, parse_word)
@@ -157,3 +158,29 @@ def test_free_base_lamp_values_are_reduced():
         fact = factorize(e)
         assert evaluate_word(ctx, concat(fact.factors)) == e
         verify_certificate(json.loads(json.dumps(wreath_certificate(e, fact, {}))))
+
+
+@st.composite
+def canonical_values(draw):
+    """A base group (Z, Zm:2..9 or free:a,b) and one canonical value of it."""
+    kind = draw(st.sampled_from(("Z", "Zm", "free")))
+    if kind == "Z":
+        return IntegerGroup(), draw(st.integers(-10 ** 6, 10 ** 6))
+    if kind == "Zm":
+        base = CyclicGroup(draw(st.integers(2, 9)))
+        return base, base.canonical(draw(st.integers(-50, 50)))
+    base = WordGroup(Alphabet(("a", "b")))
+    letters = st.tuples(st.integers(0, 1), st.sampled_from((-1, 1)))
+    return base, base.canonical(Word(tuple(draw(st.lists(letters, max_size=12)))))
+
+
+# Example budget; never lowered to hide a failure.
+@settings(max_examples=300, deadline=None, database=None)
+@given(canonical_values())
+def test_reverse_law(case):
+    # The symmetric split computes on values and spells them at the end; this
+    # law is what makes its spelled pieces mirror images letter for letter.
+    base, v = case
+    spelled = base.canonical_word(v).reverse()
+    assert base.canonical_word(base.reverse(v)) == spelled
+    assert base.equal(base.reverse(v), base.evaluate(spelled))
