@@ -1,4 +1,6 @@
 import functools
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -12,8 +14,11 @@ from palwidth import (BudgetExceeded, HypothesisViolation, OracleResult,
                       is_palindromic_element, lamp_element,
                       minimal_palindromic_length_bfs, multiply, palindrome_for,
                       parse_word, two_palindrome_decision)
+from palwidth import cli
+from palwidth.certificates import canonical_json
 from palwidth.lamplighter import LAMP_CTX, _lamps, _require_lamp
 from palwidth.lattice import LatticeFn
+from palwidth.wreath import element_to_json
 
 from test_wreath import G_ROW, W_G
 
@@ -533,3 +538,45 @@ def test_oracle_three_factors():
     assert res.status == "exact"
     assert res.minimal == 3
     assert evaluate_word(LAMP_CTX, concat(res.witness)) == WITNESS
+
+
+# sha256 over the canonical JSON of the certificates below, one per line.
+GOLDEN_WIDTH3_SHA256 = "750daa18ada58972070817726d7f2956ca7a1f722d75c5d02806f95ac96622b6"
+
+
+def _golden_width3_targets():
+    """Seeded (target, scan radius) pairs: witnesses ({0:a, 1:b}, 3), products
+    of two palindromes with k = 0, +-1, ..., +-7, random lamps, the identity,
+    and radius 0."""
+    rng = random.Random(20261020)
+    lamps = lambda: {rng.randint(-6, 6): rng.choice([-5, -3, -1, 1, 2, 4])
+                     for _ in range(rng.randint(0, 4))}
+    for radius in (None, 0, 5):
+        a, b = rng.sample([v for v in range(-20, 21) if v], 2)
+        yield lamp_element({0: a, 1: b}, 3), radius
+        yield lamp_element({0: a, 1: a}, 3), radius
+    for k in (0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7):
+        for radius in (None, rng.choice((0, 3, 8))):
+            p = rng.randint(-8, 8)
+            fn = _symmetric(lamps(), p)
+            for x, v in _symmetric(lamps(), k - p).items():
+                fn[x + p] = fn.get(x + p, 0) + v
+            yield lamp_element({x: v for x, v in fn.items() if v}, k), radius
+    for k in (0, 5, -2):
+        yield lamp_element(lamps(), k), None
+    yield lamp_element({}, 0), None
+
+
+def test_width3_certificates_match_golden(tmp_path):
+    lines = []
+    for i, (target, radius) in enumerate(_golden_width3_targets()):
+        src, out = tmp_path / f"in{i}.json", tmp_path / f"out{i}.json"
+        src.write_text(json.dumps(element_to_json(target)))
+        argv = ["certify-width3", "--in", str(src), "--out", str(out)]
+        if radius is not None:
+            argv += ["--scan-radius", str(radius)]
+        assert cli.main(argv) == 0
+        lines.append(canonical_json(json.loads(out.read_text())))
+    assert len(lines) == 40
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == GOLDEN_WIDTH3_SHA256
