@@ -8,7 +8,8 @@ scratch, through the same checks the library runs on its own output:
 and `skew.check_pieces` for the splits, and a re-run for the two-palindrome
 decisions and the oracle.  Each checker below adds only what its kind
 declares besides: the factor count, the transcript hashes, the rendering of
-each decomposition, the oracle's `max_len`.
+each decomposition, the width-3 flags and list of decomposing centers, the
+oracle's `max_len`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from typing import Any
 
 from .errors import BudgetExceeded, VerificationError
 from .lamplighter import (LAMP_CTX, OracleResult, TwoPalDecomposition,
-                          minimal_palindromic_length_bfs, two_palindrome_decision)
+                          in_width3_hypothesis, minimal_palindromic_length_bfs,
+                          scan_centers, two_palindrome_decision)
 from .lattice import (LatticeFn, json_field, json_int, json_list, json_object,
                       json_point, json_str)
 from .metabelian import evaluate_word_flow, flow_from_json, flow_to_json
@@ -157,23 +159,38 @@ def _check_two_pal(cert: dict) -> None:
                    two_palindrome_decision(element, p), f"p={p}")
 
 
+def _flag(cert: dict, key: str) -> bool:
+    value = json_field(cert, key, "certificate")
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be a boolean, not {type(value).__name__}")
+    return value
+
+
 def _check_width3(cert: dict) -> None:
+    """Re-decide every scanned center with the scan that made the table, and
+    re-derive the flags and the list of centers that decompose."""
     element = element_from_json(json_field(cert, "input", "certificate"))
     lo, hi = json_point(json_field(cert, "scanned_p", "certificate"), "scanned_p")
     if lo > hi:
         raise ValueError(f"scanned_p [{lo}, {hi}] is an empty range")
     verdicts = json_object(json_field(cert, "verdicts", "certificate"), "verdicts")
-    found = []
-    for p in range(lo, hi + 1):
-        rerun = two_palindrome_decision(element, p)
+    claimed_found = [json_int(p, "decompositions_found_at entry") for p in json_list(
+        json_field(cert, "decompositions_found_at", "certificate"), "decompositions_found_at")]
+    all_none, in_hypothesis = _flag(cert, "all_none"), _flag(cert, "in_hypothesis")
+    reruns = scan_centers(element, lo, hi)
+    for p, rerun in reruns.items():
         _check_verdict(json_field(verdicts, str(p), "verdicts"), rerun, f"p={p}")
-        if isinstance(rerun, TwoPalDecomposition):
-            found.append(p)
-    all_none = json_field(cert, "all_none", "certificate")
-    if not isinstance(all_none, bool):
-        raise ValueError(f"all_none must be a boolean, not {type(all_none).__name__}")
+    outside = sorted(set(verdicts) - {str(p) for p in reruns})
+    if outside:
+        raise VerificationError(f"verdict table has centers outside scanned_p: "
+                                f"{', '.join(outside)}")
+    found = [p for p, rerun in reruns.items() if isinstance(rerun, TwoPalDecomposition)]
+    if claimed_found != found:
+        raise VerificationError("decompositions_found_at does not match the verdict table")
     if all_none != (not found):
         raise VerificationError("all_none flag does not match the verdict table")
+    if in_hypothesis != in_width3_hypothesis(element):
+        raise VerificationError("in_hypothesis flag does not match the input")
     upper = json_object(json_field(cert, "upper_factorization", "certificate"),
                         "upper_factorization")
     factors = _words(element.ctx.alphabet, json_field(upper, "factors", "upper_factorization"),

@@ -9,6 +9,14 @@ both factors palindromic exactly when, for k != 0 and m = |k|,
 S(c) = S((p - c) mod m) for every residue c, where S(c) is the sum of f over
 x = c mod m; and, for k = 0, when f is symmetric about p/2.
 
+The certifier's scan decides every center of its range from one table of the
+residue sums S of the target: for k != 0 the rule depends on p mod m only, so
+it is checked once per residue, and a failing center costs its one-line
+trace.  Only the centers that pass are solved for g and h, one
+two_palindrome_decision each, which checks both symmetries and multiplies the
+factors back to the target.  `palwidth verify` re-decides a width-3
+certificate with the same scan.
+
 The oracle searches breadth first by factor count, with one layer step on
 plain (shift, lamp items) keys for every depth from 2 on; its `states`
 counts the distinct non-identity elements in the layers it built, the
@@ -115,6 +123,41 @@ def _times(a: tuple, b: tuple) -> tuple:
     return s + t, tuple(sorted(acc.items()))
 
 
+def _residue_sums(f: dict[int, int], m: int) -> dict[int, int]:
+    """The nonzero residue sums S(c) of f over x = c mod m."""
+    sums: dict[int, int] = {}
+    for x, v in f.items():
+        sums[x % m] = sums.get(x % m, 0) + v
+    return {c: total for c, total in sums.items() if total}
+
+
+def _residue_gap(sums: dict[int, int], m: int, p: int) -> tuple[int, int] | None:
+    """k != 0: the smallest residue c with S(c) != S((p - c) mod m) and that
+    difference, or None when there is none.  Only residues in `sums` or
+    mirrored from it can differ, and the answer depends on p mod m only."""
+    gaps = {c: sums.get(c, 0) - sums.get((p - c) % m, 0)
+            for c in {*sums, *((p - c) % m for c in sums)}}
+    c = min((c for c, gap in gaps.items() if gap), default=None)
+    return None if c is None else (c, gaps[c])
+
+
+def _residue_trace(p: int, m: int, gap: tuple[int, int] | None) -> str | None:
+    if gap is None:
+        return None
+    c, total = gap
+    return f"p={p}: residue class {c} mod {m} sums to {total}"
+
+
+def _mirror_trace(f: dict[int, int], p: int) -> str | None:
+    """k = 0: the trace naming the first lamp of f, in f's order, that differs
+    from its mirror about p/2, or None when f is symmetric about p/2."""
+    for x, v in f.items():
+        if f.get(p - x, 0) != v:
+            return (f"p={p}: lamps not symmetric about p/2: "
+                    f"f({x}) = {v}, f({p - x}) = {f.get(p - x, 0)}")
+    return None
+
+
 def two_palindrome_decision(target: WreathElement, p: int
                             ) -> TwoPalDecomposition | str:
     """Exact decision for the given left shift p: a verified decomposition,
@@ -132,30 +175,26 @@ def two_palindrome_decision(target: WreathElement, p: int
     _require_lamp(target)
     f = _lamps(target)
     k = target.shift[0]
-    q = k - p
-    g: dict[int, int] = {}
     if k == 0:
-        for x, v in f.items():
-            if f.get(p - x, 0) != v:
-                return (f"p={p}: lamps not symmetric about p/2: "
-                        f"f({x}) = {v}, f({p - x}) = {f.get(p - x, 0)}")
-        g.update(f)
+        trace = _mirror_trace(f, p)
+        if trace is not None:
+            return trace
+        g = dict(f)
     else:
         m = abs(k)
+        trace = _residue_trace(p, m, _residue_gap(_residue_sums(f, m), m, p))
+        if trace is not None:
+            return trace
+        classes: dict[int, list[int]] = {}
         d: dict[int, int] = {}
         for x in set(f) | {p + k - y for y in f}:
             delta = f.get(x, 0) - f.get(p + k - x, 0)
             if delta:
                 d[x] = delta
-        classes: dict[int, list[int]] = {}
-        for x in d:
-            classes.setdefault(x % m, []).append(x)
-        for c in sorted(classes):
-            total = sum(d[x] for x in classes[c])
-            if total:
-                return f"p={p}: residue class {c} mod {m} sums to {total}"
+                classes.setdefault(x % m, []).append(x)
         # g(x) = g(x - k) + d(x): walk each class in the direction of k; g is
         # constant on the class between consecutive points of supp d.
+        g = {}
         for xs in classes.values():
             xs.sort(reverse=k < 0)
             running = 0
@@ -165,21 +204,50 @@ def two_palindrome_decision(target: WreathElement, p: int
                     for y in range(x, stop, k):
                         g[y] = running
 
-    g_fn = LatticeFn(1, {(x,): v for x, v in g.items()})
-    h0 = {x: f.get(x, 0) - g.get(x, 0) for x in set(f) | set(g)}
-    # Verify both symmetries exactly before reporting success.
-    for x in set(g) | {p - x for x in g}:
-        if g.get(x, 0) != g.get(p - x, 0):
+    h0 = dict(f)  # f - g, without zero entries
+    for x, v in g.items():
+        rest = h0.get(x, 0) - v
+        if rest:
+            h0[x] = rest
+        else:
+            del h0[x]
+    # Verify both symmetries exactly before reporting success: a function is
+    # symmetric when each of its entries is matched at its mirror point.
+    for x, v in g.items():
+        if g.get(p - x, 0) != v:
             return f"p={p}: solved g breaks its symmetry at {x}"
-    for x in set(h0) | {p + k - x for x in h0}:
-        if h0.get(x, 0) != h0.get(p + k - x, 0):
+    for x, v in h0.items():
+        if h0.get(p + k - x, 0) != v:
             return f"p={p}: residual h breaks its symmetry at {x}"
-    h_fn = LatticeFn(1, {(x - p,): v for x, v in h0.items() if v})
-    decomposition = TwoPalDecomposition(g_fn, p, h_fn, q)
+    decomposition = TwoPalDecomposition(
+        LatticeFn._of(1, {(x,): v for x, v in g.items()}), p,
+        LatticeFn._of(1, {(x - p,): v for x, v in h0.items()}), k - p)
     left, right = decomposition.as_elements()
     if multiply(left, right) != target:
         raise VerificationError("verified decomposition fails to multiply back")
     return decomposition
+
+
+def scan_centers(target: WreathElement, lo: int, hi: int
+                 ) -> dict[int, TwoPalDecomposition | str]:
+    """two_palindrome_decision at every center p in [lo, hi], from one residue
+    table.  For k != 0 a center fails exactly when S(c) != S((p - c) mod m)
+    for some residue c, which depends on p mod m only, so the rule is checked
+    once per residue of p; for k = 0 it fails when f is not symmetric about
+    p/2.  A failing center's verdict is the trace that two_palindrome_decision
+    gives, and only the centers that pass are solved, by that function."""
+    _require_lamp(target)
+    f = _lamps(target)
+    k = target.shift[0]
+    if k:
+        m = abs(k)
+        sums = _residue_sums(f, m)
+        gap = functools.cache(lambda r: _residue_gap(sums, m, r))
+        trace = lambda p: _residue_trace(p, m, gap(p % m))
+    else:
+        trace = lambda p: _mirror_trace(f, p)
+    return {p: trace(p) or two_palindrome_decision(target, p)
+            for p in range(lo, hi + 1)}
 
 
 @dataclass
@@ -206,6 +274,12 @@ def default_scan_radius(target: WreathElement) -> int:
     return abs(k) + target.fn.box_radius() + 22
 
 
+def in_width3_hypothesis(target: WreathElement) -> bool:
+    """The paper's width-3 witnesses: lamps a != b at 0 and 1, shift 3."""
+    f = _lamps(target)
+    return set(f) == {0, 1} and f[0] != f[1] and target.shift[0] == 3
+
+
 def certify_width_three(target: WreathElement,
                         scan_radius: int | None = None) -> TwoPalWitness:
     """Scan all centers p in [-P, P + |k|] and attach the <=3-factor upper bound."""
@@ -215,11 +289,8 @@ def certify_width_three(target: WreathElement,
     radius = default_scan_radius(target) if scan_radius is None else scan_radius
     k = target.shift[0]
     lo, hi = -radius, radius + abs(k)
-    verdicts = {p: two_palindrome_decision(target, p) for p in range(lo, hi + 1)}
-    f = _lamps(target)
-    in_hypothesis = (set(f) == {0, 1} and f[0] != f[1] and k == 3)
-    upper = factorize_wreath_z(target)
-    return TwoPalWitness(target, (lo, hi), verdicts, in_hypothesis, upper)
+    return TwoPalWitness(target, (lo, hi), scan_centers(target, lo, hi),
+                         in_width3_hypothesis(target), factorize_wreath_z(target))
 
 
 def enumerate_palindromes(max_len: int) -> list[Word]:

@@ -52,7 +52,14 @@ def json_point(data: Any, what: str) -> Point:
 
 
 class LatticeFn:
-    """Sparse map from Z^r points to nonzero values of some abelian-ish V."""
+    """Sparse map from Z^r points to nonzero values of some abelian-ish V.
+
+    `LatticeFn(r, entries, zero)` validates: it converts each point to a
+    tuple, checks its rank and drops values equal to `zero`, so JSON and user
+    input go through it.  `LatticeFn._of(r, entries, zero)` trusts a dict the
+    library built itself: every key is a rank-r tuple and no value equals
+    `zero`.  It checks nothing and keeps the dict without copying it.
+    """
 
     __slots__ = ("r", "_entries", "zero")
 
@@ -69,6 +76,12 @@ class LatticeFn:
         self.r = r
         self._entries = clean
         self.zero = zero
+
+    @classmethod
+    def _of(cls, r: int, entries: dict[Point, Any], zero: Any = 0) -> "LatticeFn":
+        fn = object.__new__(cls)
+        fn.r, fn._entries, fn.zero = r, entries, zero
+        return fn
 
     # -- basic access ------------------------------------------------------
 
@@ -112,9 +125,9 @@ class LatticeFn:
         v = tuple(v)
         if len(v) != self.r:
             raise ValueError(f"shift vector {v} has wrong dimension (rank {self.r})")
-        moved = {tuple(p + d for p, d in zip(point, v)): val
+        moved = {tuple(map(operator.add, point, v)): val
                  for point, val in self._entries.items()}
-        return LatticeFn(self.r, moved, self.zero)
+        return LatticeFn._of(self.r, moved, self.zero)
 
     def map_values(self, fn: Callable[[Any], Any], zero: Any = None) -> "LatticeFn":
         new_zero = self.zero if zero is None else zero
@@ -124,10 +137,13 @@ class LatticeFn:
         """Pointwise op over the union of supports, using self's zero for gaps."""
         if self.r != other.r:
             raise ValueError("rank mismatch")
+        mine, theirs, zero = self._entries, other._entries, self.zero
         out: dict[Point, Any] = {}
-        for point in set(self._entries) | set(other._entries):
-            out[point] = op(self[point], other[point])
-        return LatticeFn(self.r, out, self.zero)
+        for point in mine.keys() | theirs.keys():
+            value = op(mine.get(point, zero), theirs.get(point, other.zero))
+            if value != zero:
+                out[point] = value
+        return LatticeFn._of(self.r, out, zero)
 
     # -- integer-valued helpers ----------------------------------------------
 

@@ -70,9 +70,15 @@ def test_traced_spans_keep_their_caller_names():
                  pw.certificates.metabelian_certificate)):
             cert = certify(element, factorize(element), {})
             pw.certificates.verify_certificate(cert)
+        # ({-5: -1, 7: -1}, 4) is (g, p)(h, 4 - p) at 3 of the centers -3..7
+        width3_start = len(tracer.spans)
+        scan = pw.lamplighter.certify_width_three(
+            pw.lamplighter.lamp_element({-5: -1, 7: -1}, 4), scan_radius=3)
+        width3_spans = [span[0] for span in tracer.spans[width3_start:]]
+        width3_found = tracer.counts["lamplighter.decompositions_found"]
     finally:
         tracer.uninstall()
-    spans = [span[0] for span in tracer.spans]
+    spans = [span[0] for span in tracer.spans[:width3_start]]
     names = set(spans)
     assert {"wreath.evaluate_word.wreath_factor", "wreath.evaluate_word.certificates",
             "metabelian.evaluate_word_flow.metabelian_factor",
@@ -83,3 +89,9 @@ def test_traced_spans_keep_their_caller_names():
     # one split per factorization: the rank-2 grid, then the rank-1 lamps
     assert spans.count("symmetric.symmetric_split") == 1
     assert spans.count("symmetric.symmetric_split_refined_r1") == 1
+    # the scan solves each passing center through the wrapped decision
+    passing = len(scan.found())
+    assert passing == width3_found == 3
+    assert width3_spans.count("lamplighter.certify_width_three") == 1
+    assert width3_spans.count("lamplighter.two_palindrome_decision") == passing
+    assert width3_spans.count("wreath.multiply.lamplighter") == passing

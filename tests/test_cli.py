@@ -468,6 +468,39 @@ def test_verify_checks_what_a_decomposition_says(tmp_path):
         assert _verify_json(tmp_path, cert).returncode == 2, edit
 
 
+def _witness_certificate(radius):
+    """The certificate of the width-3 witness ({0:2, 1:5}, 3)."""
+    cert = json.loads(run("certify-width3", "--word", "a^2 t a^5 t^2",
+                          "--scan-radius", str(radius)).stdout)
+    assert cert["in_hypothesis"] and cert["all_none"]
+    return cert
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda cert: cert.update(decompositions_found_at=[1, 2]), id="found-at"),
+    pytest.param(lambda cert: cert.update(in_hypothesis=False), id="in-hypothesis"),
+    pytest.param(lambda cert: cert["verdicts"].update({"99": cert["verdicts"]["0"]}),
+                 id="verdict-outside-scan"),
+])
+def test_verify_rejects_false_width3_claims(tmp_path, edit):
+    cert = _witness_certificate(4)
+    assert _verify_json(tmp_path, cert).returncode == 0
+    edit(cert)
+    proc = _verify_json(tmp_path, cert)
+    assert proc.returncode == 2, proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+
+
+def test_verify_rederives_found_centers(tmp_path):
+    cert = json.loads(run("certify-width3", "--word", "a t^2 a^3 t^-1 a",
+                          "--scan-radius", "6").stdout)
+    found = cert["decompositions_found_at"]
+    assert len(found) >= 2 and _verify_json(tmp_path, cert).returncode == 0
+    for claimed in (found[1:], found[::-1], found + [found[-1] + 1]):
+        cert["decompositions_found_at"] = claimed
+        assert _verify_json(tmp_path, cert).returncode == 2, claimed
+
+
 MISSING = object()  # a field value that deletes the field
 
 
@@ -480,6 +513,9 @@ MISSING = object()  # a field value that deletes the field
     ("rewrite-commutator", "factors", 5),
     ("min-length", "minimal", "1"),
     ("width3-certificate", "all_none", "yes"),
+    ("width3-certificate", "decompositions_found_at", "x"),
+    ("width3-certificate", "decompositions_found_at", [1.5]),
+    ("width3-certificate", "in_hypothesis", 0),
     pytest.param("min-length", "status", MISSING, id="min-length-status-missing"),
 ])
 def test_malformed_certificate_field(tmp_path, kind, field, value):

@@ -15,8 +15,8 @@ from palwidth import (BudgetExceeded, HypothesisViolation, OracleResult,
                       minimal_palindromic_length_bfs, multiply, palindrome_for,
                       parse_word, two_palindrome_decision)
 from palwidth import cli
-from palwidth.certificates import canonical_json
-from palwidth.lamplighter import LAMP_CTX, _lamps, _require_lamp
+from palwidth.certificates import canonical_json, decomposition_json
+from palwidth.lamplighter import LAMP_CTX, _lamps, _require_lamp, scan_centers
 from palwidth.lattice import LatticeFn
 from palwidth.wreath import element_to_json
 
@@ -356,6 +356,22 @@ def test_closed_form_matches_window_propagation(case):
 
 
 @functools.cache
+@settings(max_examples=300, deadline=None, database=None)
+@given(decision_cases())
+@example((lamp_element({}, 0), 0))
+@example((lamp_element({-2: 1, 2: 1}, 0), 0))
+@example((WITNESS, 0))
+@example((lamp_element({0: 4, 7: -1}, -2), 3))
+def test_scan_matches_per_center_decision(case):
+    target, _ = case
+    lo, hi = -16, 16 + abs(target.shift[0])
+    scanned = scan_centers(target, lo, hi)
+    assert list(scanned) == list(range(lo, hi + 1))
+    for p, verdict in scanned.items():
+        assert (decomposition_json(verdict)
+                == decomposition_json(two_palindrome_decision(target, p))), p
+
+
 def _reference_table(max_len):
     elements = {}
     for w in enumerate_palindromes(max_len):
