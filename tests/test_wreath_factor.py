@@ -4,10 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from palwidth import (CyclicGroup, EPSILON, IntegerGroup, LatticeFn, VerificationError,
-                      Word, WreathContext, build_snake, concat, evaluate_word,
-                      factorize_wreath, factorize_wreath_z, format_word,
-                      identity_element, inject, parse_word, wreath_factor)
+from palwidth import (Alphabet, CyclicGroup, EPSILON, IntegerGroup, LatticeFn,
+                      VerificationError, Word, WordGroup, WreathContext, build_snake,
+                      concat, evaluate_word, factorize_wreath, factorize_wreath_z,
+                      format_word, identity_element, inject, parse_word, wreath_factor)
 from palwidth.certificates import canonical_json, wreath_certificate
 from palwidth.symmetric import check_split, symmetric_split, symmetric_split_refined_r1
 
@@ -260,3 +260,31 @@ def test_certificates_match_golden():
     assert len(lines) == 40
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == GOLDEN_CERTS_SHA256
+
+
+# The same over the free base group on a, b; lamp values are free words,
+# some given unreduced.
+GOLDEN_FREE_CERTS_SHA256 = "f3fe1db2ef37e82f74341ff127916466f2cd35e7957f65ed65ddf7fb3964570d"
+
+
+def _golden_free_certificates():
+    """Seeded free:a,b elements at ranks 1-3, through both factorizers at rank 1."""
+    base = WordGroup(Alphabet(("a", "b")))
+    values = tuple(parse_word(base.alphabet, text)
+                   for text in ("a", "B", "a b^2 A", "B^3 a^5", "b a B A", "a B b a"))
+    rng = random.Random(20261020)
+    for r, radius in ((1, 5), (2, 3), (3, 2)):
+        ctx = WreathContext(base, r)
+        factorizers = (factorize_wreath_z, factorize_wreath) if r == 1 \
+            else (factorize_wreath,)
+        for _ in range(8):
+            e = random_wreath_element(rng, ctx, radius, values, 3, max_points=6)
+            for factorize in factorizers:
+                yield wreath_certificate(e, factorize(e), {})
+
+
+def test_free_certificates_match_golden():
+    lines = [canonical_json(cert) for cert in _golden_free_certificates()]
+    assert len(lines) == 32
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == GOLDEN_FREE_CERTS_SHA256
