@@ -122,11 +122,10 @@ def cmd_decompose_symmetric(args) -> int:
     def decode(raw):
         if isinstance(raw, str):
             return parse_word(alphabet, raw)
-        return base.canonical_word(base.canonical(base.decode_value(raw)))
+        return base.canonical_word(base.decode_value(raw))
 
     fn = LatticeFn.from_json(data, zero=EPSILON, decode=decode)
-    split = (symmetric_split_refined_r1 if args.refined and fn.r == 1
-             else symmetric_split)(fn, base)
+    split = (symmetric_split_refined_r1 if args.refined else symmetric_split)(fn, base)
     check_split(fn, base, split)
     encode = lambda w: format_word(alphabet, w)
     _emit({
@@ -339,12 +338,12 @@ def cmd_demo(args) -> int:
 # argument wiring
 # ---------------------------------------------------------------------------
 
-def _add_element_args(parser, default_r: int = 1) -> None:
+def _add_element_args(parser) -> None:
     parser.add_argument("--in", dest="infile", help="element JSON file")
     parser.add_argument("--word", help="word to evaluate instead of --in")
     parser.add_argument("--base", default="Z",
                         help="base group (Z, Zm:<m> or free:<gens>)")
-    parser.add_argument("--r", type=int, default=default_r,
+    parser.add_argument("--r", type=int, default=1,
                         help="lattice rank when using --word")
 
 

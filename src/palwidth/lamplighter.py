@@ -61,20 +61,22 @@ def is_palindromic_element(e: WreathElement) -> bool:
 
 def palindrome_for(e: WreathElement) -> Word:
     """One palindromic word for a symmetric element: walk to the leftmost
-    relevant lamp, sweep right setting lamps, then walk to the shift."""
+    relevant lamp, sweep right setting lamps, then walk to the shift.  The
+    sweep spells one t run per gap between lamps, so the word costs the
+    support, not the length of the sweep."""
     _require_lamp(e)
     if not is_palindromic_element(e):
         raise HypothesisViolation("element configuration is not symmetric about shift/2")
     k = e.shift[0]
-    support = [x for (x,) in e.fn.support()]
-    lo = min([0, k] + support)
+    lamps = sorted(_lamps(e).items())
+    lo = min([0, k] + [x for x, _v in lamps])
     hi = k - lo
     parts = [power(T, lo)]
-    for x in range(lo, hi + 1):
-        parts.append(power(A, e.fn[(x,)]))
-        if x < hi:
-            parts.append(power(T, 1))
-    parts.append(power(T, lo))
+    at = lo
+    for x, v in lamps:
+        parts += [power(T, x - at), power(A, v)]
+        at = x
+    parts += [power(T, hi - at), power(T, lo)]
     word = concat(parts)
     check_factorization(lambda w: evaluate_word(LAMP_CTX, w), e, [word])
     return word

@@ -15,7 +15,7 @@ from typing import Any
 
 from .errors import VerificationError
 from .lattice import (LatticeFn, Point, json_field, json_int, json_list, json_object,
-                      json_point, zero_fn)
+                      json_point)
 from .words import Alphabet, Word, concat, power
 
 Edge = tuple[Point, int]  # (tail point, 0-based axis)
@@ -180,9 +180,6 @@ class SquareCoeffs:
 
     def pairs(self) -> list[Pair]:
         return sorted(self.coeffs)
-
-    def get(self, pair: Pair) -> LatticeFn:
-        return self.coeffs.get(pair, zero_fn(self.r))
 
     def is_zero(self) -> bool:
         return not self.coeffs

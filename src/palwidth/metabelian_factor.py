@@ -163,7 +163,6 @@ class BattlementEntry:
 @dataclass
 class BattlementPlan:
     entries: list[BattlementEntry]
-    per_word_bound: int   # 2r + 3
     corrected_coeffs: SquareCoeffs  # re-extracted from h * word; grid sums all zero
 
     @property
@@ -244,7 +243,7 @@ def battlement_correct(h: FlowElement) -> tuple[BattlementPlan, FlowElement]:
     for pair in check.pairs():
         if any(check.coeffs[pair].grid_sums().values()):
             raise VerificationError("battlement correction left a nonzero grid sum")
-    return BattlementPlan(entries, 2 * r + 3, check), corrected
+    return BattlementPlan(entries, check), corrected
 
 
 def factorize_metabelian(g: FlowElement) -> Factorization:

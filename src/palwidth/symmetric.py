@@ -146,7 +146,7 @@ def check_split(f: LatticeFn, base: BaseGroup, split: SymmetricSplit) -> None:
         value = base.multiply(value, base.evaluate(split.f0[p]))
         for piece in split.fi:
             value = base.multiply(value, base.evaluate(piece[p]))
-        if not base.equal(value, base.evaluate(f[p])):
+        if value != base.evaluate(f[p]):
             raise VerificationError(f"pointwise product differs from input at {p}")
     if split.gamma_factors is not None:
         acc = base.identity()
@@ -154,5 +154,5 @@ def check_split(f: LatticeFn, base: BaseGroup, split: SymmetricSplit) -> None:
             if not w.is_palindrome():
                 raise VerificationError("gamma factor is not a palindrome")
             acc = base.multiply(acc, base.evaluate(w))
-        if not base.equal(acc, split.gamma):
+        if acc != split.gamma:
             raise VerificationError("gamma factors do not multiply to gamma")

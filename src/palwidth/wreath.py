@@ -1,15 +1,15 @@
 """Wreath products G wr Z^r with lamplighter-style word evaluation.
 
 The base group G is a runtime-pluggable contract.  Built-ins: the integers
-(one generator `a`), cyclic groups Z_m, and a generic free-word group with a
-user equality oracle.  Elements of G wr Z^r pair a finitely supported
-configuration Z^r -> G with a shift vector.
+(one generator `a`), cyclic groups Z_m, and free groups on named
+generators, whose values are freely reduced words.  Elements of G wr Z^r pair
+a finitely supported configuration Z^r -> G with a shift vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from .lattice import (LatticeFn, Point, json_field, json_int, json_object,
                       json_point, json_str)
@@ -22,9 +22,13 @@ class BaseGroup:
     Subclasses supply exact group arithmetic on hashable values, evaluation
     of words over the base alphabet, a fixed spelling `canonical_word` with
     its mirror `reverse`, and a palindromic factorization with a declared
-    width bound.  The symmetric split computes on values and relies on the
-    law canonical_word(reverse(v)) == canonical_word(v).reverse(), letter
-    for letter, for every canonical value v.
+    width bound.  Every value a method takes or returns is canonical: one
+    representative per group element, so `==` is the group's equality.
+    `canonical` maps a value given from Python code to its representative;
+    `decode_value` returns canonical values.  The symmetric split computes
+    on values and relies on the law
+    canonical_word(reverse(v)) == canonical_word(v).reverse(), letter for
+    letter, for every canonical value v.
     """
 
     name: str
@@ -40,9 +44,6 @@ class BaseGroup:
     def invert(self, a: Any) -> Any:
         raise NotImplementedError
 
-    def equal(self, a: Any, b: Any) -> bool:
-        return a == b
-
     def evaluate(self, word: Word) -> Any:
         """Monoid homomorphism from words over the base alphabet to G."""
         raise NotImplementedError
@@ -52,7 +53,7 @@ class BaseGroup:
         return self.evaluate(power(gen, exp))
 
     def canonical(self, value: Any) -> Any:
-        """Canonical representative of an element value read from outside."""
+        """Canonical representative of a value given from Python code."""
         return value
 
     def canonical_word(self, element: Any) -> Word:
@@ -75,6 +76,7 @@ class BaseGroup:
         return element
 
     def decode_value(self, raw: Any) -> Any:
+        """The canonical value a JSON lamp value encodes."""
         return raw
 
     def __eq__(self, other: object) -> bool:
@@ -148,30 +150,21 @@ class CyclicGroup(IntegerGroup):
     def canonical(self, value: int) -> int:
         return value % self.m
 
-    def canonical_word(self, element: int) -> Word:
-        return power(0, element % self.m)
-
-    def palindromic_factorization(self, element: int) -> list[Word]:
-        return super().palindromic_factorization(element % self.m)
+    def decode_value(self, raw: Any) -> int:
+        return json_int(raw, "lamp value") % self.m
 
 
 class WordGroup(BaseGroup):
-    """Free-word base group; elements are reduced words, equality by an oracle.
+    """The free group on the alphabet; values are freely reduced words.
 
-    Without a user-supplied factorization strategy every element factors
-    run by run (each run g^k of its reduced word is a palindrome) and no
-    width bound is declared.
+    Each run g^k of a reduced word is a palindrome, so every element
+    factors run by run, and no width bound is declared.
     """
 
-    def __init__(self, alphabet: Alphabet,
-                 equality: Callable[[Word, Word], bool] | None = None,
-                 pw: int | None = None,
-                 factorization: Callable[[Word], list[Word]] | None = None) -> None:
+    def __init__(self, alphabet: Alphabet) -> None:
         self.alphabet = alphabet
         self.name = "free:" + ",".join(alphabet.names)
-        self.pw = pw
-        self._equality = equality
-        self._factorization = factorization
+        self.pw = None
 
     def identity(self) -> Word:
         return EPSILON
@@ -181,11 +174,6 @@ class WordGroup(BaseGroup):
 
     def invert(self, a: Word) -> Word:
         return a.invert()
-
-    def equal(self, a: Word, b: Word) -> bool:
-        if self._equality is not None:
-            return self._equality(a, b)
-        return a.free_reduce() == b.free_reduce()
 
     def evaluate(self, word: Word) -> Word:
         return word.free_reduce()
@@ -203,8 +191,6 @@ class WordGroup(BaseGroup):
         return element.reverse()
 
     def palindromic_factorization(self, element: Word) -> list[Word]:
-        if self._factorization is not None:
-            return self._factorization(element)
         return [power(gen, exp) for gen, exp in element.runs]
 
     def encode_value(self, element: Word) -> str:
@@ -309,7 +295,7 @@ def evaluate_word(ctx: WreathContext, word: Word) -> WreathElement:
             value = base.power(gen, exp)
             key = tuple(pos)
             combined = base.multiply(config.get(key, ident), value)
-            if base.equal(combined, ident):
+            if combined == ident:
                 config.pop(key, None)
             else:
                 config[key] = combined
@@ -352,6 +338,6 @@ def element_from_json(data: Any) -> WreathElement:
     base = base_from_name(json_str(json_field(data, "base", "wreath element"), "base"))
     ctx = WreathContext(base, json_int(json_field(data, "r", "wreath element"), "rank"))
     fn = LatticeFn.from_json(json_field(data, "fn", "wreath element"), zero=base.identity(),
-                             decode=lambda raw: base.canonical(base.decode_value(raw)))
+                             decode=base.decode_value)
     return WreathElement(ctx, fn, json_point(json_field(data, "shift", "wreath element"),
                                              "shift"))

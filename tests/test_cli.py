@@ -216,6 +216,13 @@ def test_decompose_symmetric(tmp_path):
     assert even[(0,)] == "a^-2"
 
 
+def test_decompose_symmetric_refined_needs_rank1(tmp_path):
+    fn = tmp_path / "fn.json"
+    fn.write_text(json.dumps({"r": 2, "entries": [{"pos": [1, 0], "val": 2}]}))
+    _assert_one_line_error(run("decompose", "symmetric", "--in", str(fn), "--refined",
+                               check=False))
+
+
 @pytest.mark.parametrize("value, base", [(3, "free:a,b"), (2.5, "Z"), (True, "Z")])
 def test_decompose_symmetric_rejects_malformed_values(tmp_path, value, base):
     fn = tmp_path / "fn.json"

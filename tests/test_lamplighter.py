@@ -166,6 +166,11 @@ def test_palindrome_for_examples():
     word = palindrome_for(lamp_element({-1: 5, 0: 7, 1: 5}, 0))
     assert format_word(LAMP_CTX.alphabet, word) == "t^-1a^5ta^7ta^5t^-1"
     assert format_word(LAMP_CTX.alphabet, palindrome_for(lamp_element(G_ROW, 0))) == W_G
+    # far lamps cost their support, not the sweep between them
+    far = palindrome_for(lamp_element({-10 ** 6: 1, 10 ** 6: 1}, 0))
+    assert format_word(LAMP_CTX.alphabet, far) == "t^-1000000at^2000000at^-1000000"
+    far = palindrome_for(lamp_element({10 ** 6: 3}, 2 * 10 ** 6))
+    assert format_word(LAMP_CTX.alphabet, far) == "t^1000000a^3t^1000000"
     with pytest.raises(HypothesisViolation):
         palindrome_for(WITNESS)
 

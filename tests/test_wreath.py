@@ -177,10 +177,25 @@ def canonical_values(draw):
 # Example budget; never lowered to hide a failure.
 @settings(max_examples=300, deadline=None, database=None)
 @given(canonical_values())
+def test_decode_returns_canonical_values(case):
+    # Values compare with ==, so a decoded JSON value must be canonical.
+    base, v = case
+    assert base.decode_value(json.loads(json.dumps(base.encode_value(v)))) == v
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.integers(2, 9), st.integers(-10 ** 6, 10 ** 6))
+def test_cyclic_decode_reduces_mod_m(m, raw):
+    assert CyclicGroup(m).decode_value(raw) == raw % m
+
+
+# Example budget; never lowered to hide a failure.
+@settings(max_examples=300, deadline=None, database=None)
+@given(canonical_values())
 def test_reverse_law(case):
     # The symmetric split computes on values and spells them at the end; this
     # law is what makes its spelled pieces mirror images letter for letter.
     base, v = case
     spelled = base.canonical_word(v).reverse()
     assert base.canonical_word(base.reverse(v)) == spelled
-    assert base.equal(base.reverse(v), base.evaluate(spelled))
+    assert base.reverse(v) == base.evaluate(spelled)
