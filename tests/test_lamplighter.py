@@ -193,6 +193,31 @@ def test_palindrome_for_random_symmetric():
         assert evaluate_word(LAMP_CTX, word) == e
 
 
+# sha256 over palindrome_for's text, one word per line, for the seeded
+# symmetric elements of shift k >= 0 below.
+GOLDEN_PALINDROME_FOR_SHA256 = \
+    "ee28df79f0ab5dacc8af5fb6742bfc45aeb6ed8190816459002f7885b204ff5e"
+
+
+def _symmetric_elements(shifts):
+    """Seeded palindromic elements, 50 per shift: up to 4 lamps of
+    [-12, 12] mirrored about k/2."""
+    rng = random.Random(20261022)
+    for _ in range(50):
+        for k in shifts:
+            half = {rng.randint(-12, 12): rng.choice([-3, -1, 1, 2, 5])
+                    for _ in range(rng.randint(0, 4))}
+            yield lamp_element({x: v for x, v in _symmetric(half, k).items() if v}, k)
+
+
+def test_palindrome_for_nonnegative_shift_matches_golden():
+    lines = [format_word(LAMP_CTX.alphabet, palindrome_for(e))
+             for e in _symmetric_elements(range(0, 9))]
+    assert len(lines) == 450
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == GOLDEN_PALINDROME_FOR_SHA256
+
+
 def _solve_window_fractions(f, k, p, lo, hi):
     """Independent oracle: dense Gaussian elimination for g on the window."""
     xs = list(range(lo, hi + 1))
@@ -601,3 +626,39 @@ def test_width3_certificates_match_golden(tmp_path):
     assert len(lines) == 40
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == GOLDEN_WIDTH3_SHA256
+
+
+# sha256 over (status, minimal, palindromes, states, witness text) of the
+# oracle on the targets below, one result per line.
+GOLDEN_ORACLE_SHA256 = "ce870a218e5229319efa54973b40005398f61e91255040901cf7717736656d6f"
+
+
+def _golden_oracle_targets():
+    """Seeded ((max_len, max_factors), target) pairs: products of
+    max_factors and of max_factors + 1 palindromes within max_len, width-3
+    witnesses ({0:a, 1:b}, 3), random small lamps, and the identity."""
+    rng = random.Random(20261021)
+    for bounds in ((7, 2), (5, 3), (4, 3), (3, 4)):
+        max_len, max_factors = bounds
+        pals = enumerate_palindromes(max_len)
+        yield bounds, lamp_element({}, 0)
+        for _ in range(6):
+            for count in (max_factors, max_factors + 1):
+                word = concat(rng.choice(pals) for _ in range(count))
+                yield bounds, evaluate_word(LAMP_CTX, word)
+            a, b = rng.sample([v for v in range(-20, 21) if v], 2)
+            yield bounds, lamp_element({0: a, 1: b}, 3)
+            yield bounds, lamp_element({rng.randint(-3, 3): rng.randint(-3, 3)
+                                        for _ in range(rng.randint(1, 3))},
+                                       rng.randint(-4, 4))
+
+
+def test_oracle_results_match_golden():
+    lines = []
+    for (max_len, max_factors), target in _golden_oracle_targets():
+        res = minimal_palindromic_length_bfs(target, max_len, max_factors)
+        lines.append(repr((res.status, res.minimal, res.palindromes, res.states,
+                           [format_word(LAMP_CTX.alphabet, w) for w in res.witness])))
+    assert len(lines) == 100
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == GOLDEN_ORACLE_SHA256
