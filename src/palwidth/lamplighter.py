@@ -20,7 +20,9 @@ certificate with the same scan.
 The oracle searches breadth first by factor count, with one layer step on
 plain (shift, lamp items) keys for every depth from 2 on; its `states`
 counts the distinct non-identity elements in the layers it built, the
-palindromes themselves included.
+palindromes themselves included.  A probe e^-1 * target is formed only when
+its abelian image (shift, lamp total), a homomorphism onto Z^2, is among
+the images of the layer it is looked up in; the skipped probes never hit.
 """
 
 from __future__ import annotations
@@ -123,6 +125,11 @@ def _times(a: tuple, b: tuple) -> tuple:
         else:
             del acc[x]
     return s + t, tuple(sorted(acc.items()))
+
+
+def _image(key: tuple) -> tuple[int, int]:
+    """The abelian image (shift, lamp total) of a key: a homomorphism onto Z^2."""
+    return key[0], sum(v for _x, v in key[1])
 
 
 def _residue_sums(f: dict[int, int], m: int) -> dict[int, int]:
@@ -313,21 +320,23 @@ def enumerate_palindromes(max_len: int) -> list[Word]:
 
 @functools.lru_cache(maxsize=8)
 def _palindrome_table(max_len: int) -> tuple[Mapping[tuple, tuple[Word, ...]],
-                                             tuple[tuple[tuple, tuple, Word], ...]]:
+                                             tuple[tuple, ...], frozenset[tuple]]:
     """The oracle's first layer: the distinct non-identity elements of the
     palindromes of length <= max_len, each under its _key and with its first
-    word in enumeration order as a one-factor witness; and the same elements
-    in the same order as (key, key of the inverse, word)."""
+    word in enumeration order as a one-factor witness; the same elements in
+    the same order as (key, key of the inverse, image, word); and the set of
+    their images."""
     layer: dict[tuple, tuple[Word, ...]] = {}
-    steps: list[tuple[tuple, tuple, Word]] = []
+    steps: list[tuple[tuple, tuple, tuple, Word]] = []
     for w in enumerate_palindromes(max_len):
         e = evaluate_word(LAMP_CTX, w)
         s, lamps = key = _key(e)
         if not e.is_identity() and key not in layer:
             layer[key] = (w,)
             # (f, s)^-1 is (-f translated by -s, -s)
-            steps.append((key, (-s, tuple((x - s, -v) for x, v in lamps)), w))
-    return MappingProxyType(layer), tuple(steps)
+            steps.append((key, (-s, tuple((x - s, -v) for x, v in lamps)),
+                          _image(key), w))
+    return MappingProxyType(layer), tuple(steps), frozenset(step[2] for step in steps)
 
 
 @dataclass
@@ -361,7 +370,7 @@ def minimal_palindromic_length_bfs(target: WreathElement, max_len: int,
     if target.is_identity():
         return OracleResult("exact", 0)
 
-    singles, steps = _palindrome_table(max_len)
+    singles, steps, images = _palindrome_table(max_len)
     if not singles:
         return OracleResult("exceeds-max-factors", None)
     palindromes = states = len(singles)
@@ -370,13 +379,14 @@ def minimal_palindromic_length_bfs(target: WreathElement, max_len: int,
         return OracleResult("exact", 1, palindromes=palindromes, states=states,
                             witness=list(singles[goal]))
 
+    gs, gv = _image(goal)
     seen = set(singles) | {(0, ())}  # the identity is never a state
     layer: Mapping[tuple, tuple[Word, ...]] = singles
     for depth in range(2, max_factors + 1):
         if depth > 2:
             grown: dict[tuple, tuple[Word, ...]] = {}
             for key, ws in layer.items():
-                for e, _, w in steps:
+                for e, _, _, w in steps:
                     product = _times(e, key)
                     if product in seen:
                         continue
@@ -386,10 +396,11 @@ def minimal_palindromic_length_bfs(target: WreathElement, max_len: int,
                     if states > max_states:
                         raise BudgetExceeded(
                             f"state budget {max_states} exceeded at depth {depth}")
-            layer = grown
-        for _, inverse, w in steps:
-            hit = layer.get(_times(inverse, goal))
-            if hit is not None:
+            layer, images = grown, {_image(key) for key in grown}
+        for _, inverse, (s, v), w in steps:
+            # e^-1 * target lies in the layer only if its image does
+            hit = (gs - s, gv - v) in images and layer.get(_times(inverse, goal))
+            if hit:
                 return OracleResult("exact", depth, palindromes=palindromes,
                                     states=states, witness=[w, *hit])
     return OracleResult("exceeds-max-factors", None, palindromes=palindromes,
