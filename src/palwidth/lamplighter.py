@@ -194,13 +194,13 @@ def two_palindrome_decision(target: WreathElement, p: int
         trace = _residue_trace(p, m, _residue_gap(_residue_sums(f, m), m, p))
         if trace is not None:
             return trace
-        classes: dict[int, list[int]] = {}
         d: dict[int, int] = {}
-        for x in set(f) | {p + k - y for y in f}:
-            delta = f.get(x, 0) - f.get(p + k - x, 0)
-            if delta:
-                d[x] = delta
-                classes.setdefault(x % m, []).append(x)
+        for x, v in f.items():
+            d[x] = d.get(x, 0) + v
+            d[p + k - x] = d.get(p + k - x, 0) - v
+        classes: dict[int, list[int]] = {}
+        for x in filter(d.get, d):  # supp d
+            classes.setdefault(x % m, []).append(x)
         # g(x) = g(x - k) + d(x): walk each class in the direction of k; g is
         # constant on the class between consecutive points of supp d.
         g = {}
@@ -210,8 +210,7 @@ def two_palindrome_decision(target: WreathElement, p: int
             for x, stop in zip(xs, xs[1:]):
                 running += d[x]
                 if running:
-                    for y in range(x, stop, k):
-                        g[y] = running
+                    g.update(dict.fromkeys(range(x, stop, k), running))
 
     h0 = dict(f)  # f - g, without zero entries
     for x, v in g.items():

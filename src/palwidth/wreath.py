@@ -8,6 +8,7 @@ a finitely supported configuration Z^r -> G with a shift vector.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Any
 
@@ -307,13 +308,22 @@ def evaluate_word(ctx: WreathContext, word: Word) -> WreathElement:
 
 
 def multiply(a: WreathElement, b: WreathElement) -> WreathElement:
-    """(a.fn, a.shift) * (b.fn, b.shift): b's configuration acts shifted by a.shift."""
+    """(a.fn, a.shift) * (b.fn, b.shift): b's configuration acts shifted by
+    a.shift.  Each entry of b, moved by a.shift, is multiplied into a copy of
+    a's entries, one base.multiply per entry of b; by the identity law this
+    is the pointwise product over the union of supports."""
     if a.ctx != b.ctx:
         raise ValueError("context mismatch")
-    base = a.ctx.base
-    fn = a.fn.combine(b.fn.shift(a.shift), base.multiply)
+    multiply_base, zero = a.ctx.base.multiply, a.fn.zero
+    out = dict(a.fn._entries)
+    for point, value in b.fn._entries.items():
+        point = ((point[0] + a.shift[0],) if a.fn.r == 1  # rank 1 needs no tuple map
+                 else tuple(map(operator.add, point, a.shift)))
+        out[point] = value = multiply_base(out.get(point, zero), value)
+        if value == zero:
+            del out[point]
     shift = tuple(x + y for x, y in zip(a.shift, b.shift))
-    return WreathElement(a.ctx, fn, shift)
+    return WreathElement(a.ctx, LatticeFn._of(a.fn.r, out, zero), shift)
 
 
 def invert(a: WreathElement) -> WreathElement:

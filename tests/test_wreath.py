@@ -51,7 +51,8 @@ def test_lamplighter_traces():
 def test_multiply_matches_concatenation():
     rng = random.Random(0)
     ctx3 = WreathContext(CyclicGroup(3), 2)
-    for ctx in (ZZ, ctx3):
+    free = WreathContext(WordGroup(Alphabet(("b", "c"))), 2)  # order of lamp values matters
+    for ctx in (ZZ, ctx3, free):
         for _ in range(100):
             from gens import random_word
             w1 = random_word(rng, len(ctx.alphabet.names), 10)
