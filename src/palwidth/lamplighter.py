@@ -65,20 +65,23 @@ def palindrome_for(e: WreathElement) -> Word:
     """One palindromic word for a symmetric element: walk to the leftmost
     relevant lamp, sweep right setting lamps, then walk to the shift.  The
     sweep spells one t run per gap between lamps, so the word costs the
-    support, not the length of the sweep."""
+    support, not the length of the sweep.  A negative shift k spells the
+    mirror (t -> t^-1) of the word for the mirrored element (f(-x), -k), so
+    no walk passes the origin side and comes back."""
     _require_lamp(e)
     if not is_palindromic_element(e):
         raise HypothesisViolation("element configuration is not symmetric about shift/2")
-    k = e.shift[0]
-    lamps = sorted(_lamps(e).items())
-    lo = min([0, k] + [x for x, _v in lamps])
-    hi = k - lo
-    parts = [power(T, lo)]
+    sign = -1 if e.shift[0] < 0 else 1
+    walk = lambda n: power(T, sign * n)
+    lamps = sorted((sign * x, v) for x, v in _lamps(e).items())
+    lo = min([0] + [x for x, _v in lamps])
+    hi = abs(e.shift[0]) - lo
+    parts = [walk(lo)]
     at = lo
     for x, v in lamps:
-        parts += [power(T, x - at), power(A, v)]
+        parts += [walk(x - at), power(A, v)]
         at = x
-    parts += [power(T, hi - at), power(T, lo)]
+    parts += [walk(hi - at), walk(lo)]
     word = concat(parts)
     check_factorization(lambda w: evaluate_word(LAMP_CTX, w), e, [word])
     return word

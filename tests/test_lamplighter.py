@@ -218,6 +218,22 @@ def test_palindrome_for_nonnegative_shift_matches_golden():
     assert digest == GOLDEN_PALINDROME_FOR_SHA256
 
 
+def test_palindrome_for_negative_shift_is_the_mirror_word():
+    """For k < 0 the word is freely reduced and has 2|k| fewer t letters than
+    the sweep from min(0, k, supp) to k - min(0, k, supp) and back, which
+    costs k - 4 min(0, k, supp) t letters."""
+    for fn, k, text in (({-4: 1, -6: 1}, -10, "t^-4at^-2at^-4"),
+                        ({-1: 5}, -2, "t^-1a^5t^-1")):
+        assert format_word(LAMP_CTX.alphabet, palindrome_for(lamp_element(fn, k))) == text
+    for e in _symmetric_elements(range(-8, 0)):
+        word = palindrome_for(e)
+        assert word.is_palindrome() and word.free_reduce() == word
+        assert evaluate_word(LAMP_CTX, word) == e
+        k, lamps = e.shift[0], _lamps(e)
+        sweep = k - 4 * min([k, *lamps])
+        assert len(word) == sum(map(abs, lamps.values())) + sweep - 2 * abs(k)
+
+
 def _solve_window_fractions(f, k, p, lo, hi):
     """Independent oracle: dense Gaussian elimination for g on the window."""
     xs = list(range(lo, hi + 1))
@@ -587,7 +603,7 @@ def test_oracle_three_factors():
 
 
 # sha256 over the canonical JSON of the certificates below, one per line.
-GOLDEN_WIDTH3_SHA256 = "750daa18ada58972070817726d7f2956ca7a1f722d75c5d02806f95ac96622b6"
+GOLDEN_WIDTH3_SHA256 = "f62f1aa9d551b92b5e2b93602bd61db91360d4dc4a0f2ade24fc5490b6073743"
 
 
 def _golden_width3_targets():
