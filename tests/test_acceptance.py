@@ -11,7 +11,7 @@ import sys
 import time
 
 from palwidth import (CyclicGroup, IntegerGroup, LatticeFn, SquareCoeffs, Word,
-                      WreathContext, concat,
+                      WreathContext, certify_width_three, concat,
                       enumerate_palindromes, evaluate_word, evaluate_word_flow,
                       factorize_metabelian, factorize_wreath, factorize_wreath_z,
                       lamp_element, lattice_word, make_element,
@@ -319,3 +319,26 @@ def test_time_half_split_dense_rank1():
     pieces = skew_split_half(f, (0,))
     _report("time (skew_split_half, 1400 points in radius 1000)", started, 0.5)
     check_pieces(f, pieces, "half-step split")
+
+
+def test_time_width3_all_passing_centers():
+    """({0:-1, 1:-1, 2:-1}, 3) decomposes at all 58 centers of its default
+    scan, the costliest width-3 op: each center is solved and multiplied
+    back once, so 100 certificates take well under a second."""
+    target = lamp_element({0: -1, 1: -1, 2: -1}, 3)
+    started = time.time()
+    for _ in range(100):
+        witness = certify_width_three(target)
+    _report("time (certify_width_three x100, 58 passing centers)", started, 0.6)
+    assert len(witness.found()) == len(witness.verdicts) == 58
+
+
+def test_time_oracle_witness_two_factors():
+    """The length-7, two-factor oracle on the width-3 witness forms only the
+    probes whose abelian image lies in the palindrome layer."""
+    minimal_palindromic_length_bfs(WITNESS, 7, 2)  # builds the cached table
+    started = time.time()
+    for _ in range(1000):
+        res = minimal_palindromic_length_bfs(WITNESS, 7, 2)
+    _report("time (oracle x1000 on the witness, max_len 7, 2 factors)", started, 0.5)
+    assert res.status == "exceeds-max-factors"
