@@ -16,7 +16,7 @@ from typing import Any
 from .errors import VerificationError
 from .lattice import (LatticeFn, Point, json_field, json_int, json_list, json_object,
                       json_point)
-from .words import Alphabet, Word, concat, power
+from .words import Alphabet, Word
 
 Edge = tuple[Point, int]  # (tail point, 0-based axis)
 
@@ -185,26 +185,20 @@ class SquareCoeffs:
         return not self.coeffs
 
 
-def square_flow(r: int, pair: Pair, at: Point, value: int) -> dict[Edge, int]:
-    """Edge flow of [x_i, x_j]^value conjugated to the point `at`."""
-    i, j = pair
-    ei = tuple(1 if k == i else 0 for k in range(r))
-    at = tuple(at)
-    return _clean({
-        (at, i): value,
-        (tuple(a + e for a, e in zip(at, ei)), j): value,
-        (tuple(a + (1 if k == j else 0) for k, a in enumerate(at)), i): -value,
-        (at, j): -value,
-    })
-
-
 def squares_to_element(c: SquareCoeffs) -> FlowElement:
-    """Sum of shifted commutator flows; always a shift-zero element."""
+    """Sum of shifted commutator flows; always a shift-zero element.
+
+    [x_i, x_j]^v conjugated to p is v on the edges (p, i) and (p + e_i, j)
+    and -v on (p + e_j, i) and (p, j).
+    """
     edges: dict[Edge, int] = {}
+    get = edges.get
     for pair in c.pairs():
-        for point, value in c.coeffs[pair].items():
-            for edge, v in square_flow(c.r, pair, point, value).items():
-                edges[edge] = edges.get(edge, 0) + v
+        i, j = pair
+        for p, v in c.coeffs[pair].items():
+            for edge, w in (((p, i), v), ((p[:i] + (p[i] + 1,) + p[i + 1:], j), v),
+                            ((p[:j] + (p[j] + 1,) + p[j + 1:], i), -v), ((p, j), -v)):
+                edges[edge] = get(edge, 0) + w
     return FlowElement._of(c.r, (0,) * c.r, _clean(edges))
 
 
@@ -266,18 +260,8 @@ def circulation_to_squares(h: FlowElement) -> SquareCoeffs:
 
 def lattice_word(r: int, point: Point) -> Word:
     """Canonical monomial x_1^(u_1) ... x_r^(u_r) for a lattice point."""
-    return concat([power(axis, exp) for axis, exp in enumerate(point)])
-
-
-def square_parts(r: int, pair: Pair, at: Point, value: int) -> tuple[Word, Word, Word]:
-    """The three freely reduced parts m, [x_i, x_j]^value, m^-1 of a
-    conjugate, m the canonical monomial of `at`; their product evaluates to
-    square_flow(r, pair, at, value)."""
-    i, j = pair
-    block = ((i, 1), (j, 1), (i, -1), (j, -1)) if value > 0 else \
-        ((j, 1), (i, 1), (j, -1), (i, -1))
-    m = lattice_word(r, at)
-    return m, Word._of(block * abs(value), 4 * abs(value)), m.invert()
+    return Word._of(tuple((axis, exp) for axis, exp in enumerate(point) if exp),
+                    sum(map(abs, point)))
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,9 @@ within the bound; skew pieces that do not sum to the input show there as a
 wrong product.  `palindromize_skew` and `palindromize_gridzero` wrap their
 builder with the same check on their own output; `palindromize_conjugated`,
 whose monomial factors are not palindromes, checks only its product.
-`battlement_correct` re-extracts the corrected element to check its grid
-sums, and the pipeline reuses those coefficients rather than extracting
-them again.
+`battlement_correct` adds each correction word's coefficients in closed
+form rather than evaluating the word, and checks the corrected grid sums;
+a wrong closed form shows at the boundary as a wrong product.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .errors import HypothesisViolation, VerificationError
 from .lattice import LatticeFn, Point
 from .metabelian import (FlowElement, Pair, SquareCoeffs, circulation_to_squares,
                          evaluate_word_flow, invert_flow, lattice_word,
-                         multiply_flow, square_parts, squares_to_element)
+                         multiply_flow, squares_to_element)
 from .skew import SkewPiece, skew_split_fixed_centers
 from .words import (Factorization, Word, check_factorization, concat, power,
                     reduced_concat)
@@ -66,20 +66,21 @@ def _require_skew(coeffs: SquareCoeffs, p: Point) -> None:
 def _skew_palindrome(coeffs: SquareCoeffs) -> Word:
     """Unchecked builder behind palindromize_skew.
 
-    The half G is reduced_concat over the three reduced parts m, rho^|v|,
-    m^-1 of each conjugate, so letters cancel only at part seams, at
-    O(1 + runs cancelled) steps per part; G reverse(G) is then reduced too.
+    The half G is reduced_concat over the parts m, rho^|v|, m^-1 of each
+    conjugate, reduced words wrapped from runs, so letters cancel only at part
+    seams, O(1 + runs cancelled) steps each; G reverse(G) is reduced too.
     """
     r = coeffs.r
     parts: list[Word] = []
     for pair in reversed(coeffs.pairs()):
-        fn = coeffs.coeffs[pair]
+        i, j = pair
         two_c = _pair_center(r, pair)
-        reps = sorted(
-            (p for p, _ in fn.items()
-             if p > tuple(c - x for c, x in zip(two_c, p))))
-        for u in reps:
-            parts.extend(square_parts(r, pair, u, fn[u]))
+        up, down = ((i, 1), (j, 1), (i, -1), (j, -1)), ((j, 1), (i, 1), (j, -1), (i, -1))
+        for u, value in coeffs.coeffs[pair].items():  # in point order
+            if u > tuple(c - x for c, x in zip(two_c, u)):
+                m, n = lattice_word(r, u), abs(value)
+                block = up if value > 0 else down
+                parts += (m, Word._of(block * n, 4 * n), m.invert())
     half = reduced_concat(parts)
     return half * half.reverse()
 
@@ -163,7 +164,7 @@ class BattlementEntry:
 @dataclass
 class BattlementPlan:
     entries: list[BattlementEntry]
-    corrected_coeffs: SquareCoeffs  # re-extracted from h * word; grid sums all zero
+    corrected_coeffs: SquareCoeffs  # those of h * word; grid sums all zero
 
     @property
     def word(self) -> Word:
@@ -171,10 +172,8 @@ class BattlementPlan:
 
     def inverse_factors(self) -> list[Word]:
         """Palindromic factors of the plan word's inverse."""
-        out: list[Word] = []
-        for entry in reversed(self.entries):
-            out.extend(w.invert() for w in reversed(entry.factors))
-        return out
+        return [w.invert() for entry in reversed(self.entries)
+                for w in reversed(entry.factors)]
 
 
 def _battlement_word(r: int, pair: Pair, grid: Point, amount: int
@@ -210,6 +209,16 @@ def _battlement_word(r: int, pair: Pair, grid: Point, amount: int
     return concat(factors), factors
 
 
+def _battlement_delta(pair: Pair, grid: Point, amount: int) -> dict[Point, int]:
+    """Coefficients of the cell's battlement word: -sign(D) on |D| points 2
+    apart on axis i, from 2 |floor(D/2)| below the grid point up (the core's
+    line starts at it, or 2 below it going down, and o moves it back)."""
+    i = pair[0]
+    start = grid[i] - 2 * abs(amount // 2)
+    value = -1 if amount > 0 else 1
+    return {grid[:i] + (start + 2 * k,) + grid[i + 1:]: value for k in range(abs(amount))}
+
+
 def battlement_correct(h: FlowElement) -> tuple[BattlementPlan, FlowElement]:
     """Multiply h by battlement words until every coefficient grid sum is zero.
 
@@ -222,28 +231,31 @@ def battlement_correct(h: FlowElement) -> tuple[BattlementPlan, FlowElement]:
     skew split then carries that mass back, so a correction costs Theta(D^2)
     letters, about half of what a line running 2|D| to one side would.
 
-    The corrected grid sums are checked here, since a nonzero one would
-    surface later as a hypothesis violation of the skew split.  Each entry's
-    pre-split (at most 2r + 3 palindromes spelling its word) is not: the
-    factorizer's boundary check covers it.
+    The extraction is linear, so the corrected coefficients are h's plus
+    each word's `_battlement_delta`; no word is evaluated.  The corrected
+    grid sums are checked, since a nonzero one would surface later as a
+    hypothesis violation of the skew split; the deltas and each entry's
+    pre-split (at most 2r + 3 palindromes) are left to the factorizer's
+    boundary check.  The element returned is h times the plan word.
     """
     if any(c != 0 for c in h.shift):
         raise ValueError("battlement correction needs a shift-zero element")
     r = h.r
     coeffs = circulation_to_squares(h)
     entries: list[BattlementEntry] = []
+    corrected: dict[Pair, LatticeFn] = {}
     for pair in coeffs.pairs():
-        for v, amount in coeffs.coeffs[pair].grid_sums().items():
-            if amount == 0:
-                continue
-            word, factors = _battlement_word(r, pair, v, amount)
-            entries.append(BattlementEntry(pair, v, amount, word, factors))
-    corrected = multiply_flow(h, evaluate_word_flow(r, concat([e.word for e in entries])))
-    check = circulation_to_squares(corrected)
-    for pair in check.pairs():
-        if any(check.coeffs[pair].grid_sums().values()):
+        fn, delta = coeffs.coeffs[pair], {}
+        for v, amount in fn.grid_sums().items():
+            if amount:
+                entries.append(BattlementEntry(pair, v, amount,
+                                               *_battlement_word(r, pair, v, amount)))
+                delta.update(_battlement_delta(pair, v, amount))
+        corrected[pair] = fn.add(LatticeFn._of(r, delta))
+        if any(corrected[pair].grid_sums().values()):
             raise VerificationError("battlement correction left a nonzero grid sum")
-    return BattlementPlan(entries, check), corrected
+    plan = BattlementPlan(entries, SquareCoeffs(r, corrected))
+    return plan, squares_to_element(plan.corrected_coeffs)
 
 
 def factorize_metabelian(g: FlowElement) -> Factorization:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Iterable
 
 from .errors import VerificationError
@@ -53,6 +54,12 @@ class Alphabet:
             return self.names.index(name)
         except ValueError:
             raise ValueError(f"unknown generator {name!r} (alphabet {self.names})")
+
+    @cached_property
+    def _letters(self) -> dict[str, Letter]:
+        """Text letter to (generator, sign), built on first use."""
+        return {text: (gen, sign) for gen, name in enumerate(self.names)
+                for text, sign in ((name, 1), (name.upper(), -1))}
 
 
 class Word:
@@ -270,10 +277,6 @@ def parse_word(alphabet: Alphabet, text: str) -> Word:
     table lookups, whatever the exponents.  The first bad token, in text
     order, names the error.
     """
-    letters: dict[str, Letter] = {}
-    for gen, name in enumerate(alphabet.names):
-        letters[name] = (gen, 1)
-        letters[name.upper()] = (gen, -1)
     tokens = _TOKEN_RE.findall(text)
     runs_of: dict[str, Run | None] = {}  # None for a zero exponent
     kind_of: dict[str, int] = {}  # (generator, sign) as one int
@@ -283,7 +286,7 @@ def parse_word(alphabet: Alphabet, text: str) -> Word:
             at = next(m.start() for m in _TOKEN_RE.finditer(text) if m.group() == token)
             raise ValueError(f"cannot parse word at ...{text[at:at + 12]!r}")
         name, _, exp_str = token.partition("^")
-        letter = letters.get(name)
+        letter = alphabet._letters.get(name)
         if letter is None:
             alphabet.index(name.lower())  # not a generator name, so this raises
         gen, sign = letter

@@ -311,6 +311,19 @@ def test_size_different_grid_pair_rank2():
                                 "size (+-100 at (0,0) and (3,1), r = 2)")
 
 
+def test_time_metabelian_battlement_heavy():
+    """Four seeded elements of ranks 3 and 4 with coefficients up to +-30,
+    whose grid sums need about 1,550 battlement commutators in all: the
+    corrected coefficients come in closed form, so the op costs the spelling
+    and the boundary check of about 244,000 output letters."""
+    elements = [random_flow_element(random.Random(seed), r, 2, 30, 3, points_per_pair=6)
+                for seed, r in ((1, 3), (2, 3), (3, 4), (4, 4))]
+    started = time.time()
+    for e in elements:
+        factorize_metabelian(e)
+    _report("time (factorize_metabelian, 4 battlement-heavy elements)", started, 0.4)
+
+
 def test_time_half_split_dense_rank1():
     """skew_split_half moves each point's merged mass once, so 1400 points
     within radius 1000 split in well under a second."""

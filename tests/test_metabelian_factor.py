@@ -220,6 +220,22 @@ def test_battlement_word_properties(data):
         assert not any(c for k, c in enumerate(point) if k != i)
 
 
+# Example budget; never lowered to hide a failure.
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(2, 5), st.integers(0, 2 ** 32), st.integers(-9, 9))
+def test_battlement_closed_form_matches_words(r, seed, d):
+    """The corrected coefficients, built in closed form, are those that the
+    extraction finds in h times the plan word.  The extra [x_1, x_2]^d at
+    the origin moves one grid sum through odd and negative values."""
+    origin = SquareCoeffs(r, {(0, 1): LatticeFn(r, {(0,) * r: d})})
+    h = multiply_flow(random_flow_element(random.Random(seed), r, 2, 4, 0, points_per_pair=3),
+                      squares_to_element(origin))
+    plan, corrected = battlement_correct(h)
+    product = multiply_flow(h, evaluate_word_flow(r, plan.word))
+    assert plan.corrected_coeffs == circulation_to_squares(product)
+    assert corrected == product
+
+
 def test_factorize_identity():
     assert factorize_metabelian(identity_flow(2)).count == 0
 
@@ -316,6 +332,13 @@ def _extra_palindrome(build):
     return lambda coeffs: build(coeffs) + [power(1, 3)]
 
 
+def _delta_one_step_off(build):
+    def tampered(pair, grid, amount):
+        i = pair[0]
+        return {p[:i] + (p[i] + 2,) + p[i + 1:]: v for p, v in build(pair, grid, amount).items()}
+    return tampered
+
+
 def _extra_presplit_palindrome(build):
     def tampered(*args):
         word, factors = build(*args)
@@ -326,7 +349,8 @@ def _extra_presplit_palindrome(build):
 @pytest.mark.parametrize("name, tamper", [("_skew_palindrome", _padded_skew),
                                           ("_gridzero_factors", _extra_palindrome),
                                           ("skew_split_fixed_centers", extra_dipole),
-                                          ("_battlement_word", _extra_presplit_palindrome)])
+                                          ("_battlement_word", _extra_presplit_palindrome),
+                                          ("_battlement_delta", _delta_one_step_off)])
 def test_boundary_check_catches_tampered_stage(monkeypatch, name, tamper):
     element = random_flow_element(random.Random(9), 3, 2, 3, 2, points_per_pair=4)
     assert factorize_metabelian(element).count > 0
