@@ -79,8 +79,7 @@ def _skew_palindrome(coeffs: SquareCoeffs) -> Word:
         for u, value in coeffs.coeffs[pair].items():  # in point order
             if u > tuple(c - x for c, x in zip(two_c, u)):
                 m, n = lattice_word(r, u), abs(value)
-                block = up if value > 0 else down
-                parts += (m, Word._of(block * n, 4 * n), m.invert())
+                parts += (m, Word._of((up if value > 0 else down) * n, 4 * n), m.invert())
     half = reduced_concat(parts)
     return half * half.reverse()
 

@@ -277,6 +277,7 @@ def parse_word(alphabet: Alphabet, text: str) -> Word:
     table lookups, whatever the exponents.  The first bad token, in text
     order, names the error.
     """
+    letters = alphabet._letters
     tokens = _TOKEN_RE.findall(text)
     runs_of: dict[str, Run | None] = {}  # None for a zero exponent
     kind_of: dict[str, int] = {}  # (generator, sign) as one int
@@ -286,7 +287,7 @@ def parse_word(alphabet: Alphabet, text: str) -> Word:
             at = next(m.start() for m in _TOKEN_RE.finditer(text) if m.group() == token)
             raise ValueError(f"cannot parse word at ...{text[at:at + 12]!r}")
         name, _, exp_str = token.partition("^")
-        letter = alphabet._letters.get(name)
+        letter = letters.get(name)
         if letter is None:
             alphabet.index(name.lower())  # not a generator name, so this raises
         gen, sign = letter
