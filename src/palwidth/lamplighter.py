@@ -12,10 +12,12 @@ x = c mod m; and, for k = 0, when f is symmetric about p/2.
 The certifier's scan decides every center of its range from one table of the
 residue sums S of the target: for k != 0 the rule depends on p mod m only, so
 it is checked once per residue, and a failing center costs its one-line
-trace.  Only the centers that pass are solved for g and h, one
-two_palindrome_decision each, which checks both symmetries and multiplies the
-factors back to the target.  `palwidth verify` re-decides a width-3
-certificate with the same scan.
+trace.  A passing class is solved once, by two_palindrome_decision, and each
+later center of it is stepped: g_{p+m}(x) = g_p(x) + sgn(k) f(p + max(k,0) - x),
+since moving the center by m adds one reflected copy of f to the equation
+g(x) - g(x - k) = f(x) - f(p + k - x) that g solves.  Every solution is
+checked alike: both symmetries, and the product of the two factors.
+`palwidth verify` re-decides a width-3 certificate with the same scan.
 
 The oracle searches breadth first by factor count, with one layer step on
 plain (shift, lamp items) keys for every depth from 2 on; its `states`
@@ -214,16 +216,22 @@ def two_palindrome_decision(target: WreathElement, p: int
                 running += d[x]
                 if running:
                     g.update(dict.fromkeys(range(x, stop, k), running))
+    return _checked(target, f, p, g)
 
+
+def _checked(target: WreathElement, f: dict[int, int], p: int,
+             g: dict[int, int]) -> TwoPalDecomposition | str:
+    """The decomposition (g, p)(f - g, k - p) of the target (f, k), checked:
+    g (zero entries ignored) symmetric about p/2, h0 := f - g about (p + k)/2,
+    and the factors multiply back to the target.  Else the failing trace."""
+    k = target.shift[0]
     h0 = dict(f)  # f - g, without zero entries
     for x, v in g.items():
         rest = h0.get(x, 0) - v
         if rest:
             h0[x] = rest
         else:
-            del h0[x]
-    # Verify both symmetries exactly before reporting success: a function is
-    # symmetric when each of its entries is matched at its mirror point.
+            h0.pop(x, None)
     for x, v in g.items():
         if g.get(p - x, 0) != v:
             return f"p={p}: solved g breaks its symmetry at {x}"
@@ -231,7 +239,7 @@ def two_palindrome_decision(target: WreathElement, p: int
         if h0.get(p + k - x, 0) != v:
             return f"p={p}: residual h breaks its symmetry at {x}"
     decomposition = TwoPalDecomposition(
-        LatticeFn._of(1, {(x,): v for x, v in g.items()}), p,
+        LatticeFn._of(1, {(x,): v for x, v in g.items() if v}), p,
         LatticeFn._of(1, {(x - p,): v for x, v in h0.items()}), k - p)
     left, right = decomposition.as_elements()
     if multiply(left, right) != target:
@@ -246,19 +254,32 @@ def scan_centers(target: WreathElement, lo: int, hi: int
     for some residue c, which depends on p mod m only, so the rule is checked
     once per residue of p; for k = 0 it fails when f is not symmetric about
     p/2.  A failing center's verdict is the trace that two_palindrome_decision
-    gives, and only the centers that pass are solved, by that function."""
+    gives.  A passing center p steps the decomposition at p - m, if any:
+    g_p(x) = g_{p-m}(x) + sgn(k) f(p + min(k, 0) - x), the one reflected copy
+    of f by which g(x) - g(x - k) = f(x) - f(p + k - x) grows from p - m to p.
+    Other passing centers are solved by two_palindrome_decision."""
     _require_lamp(target)
     f = _lamps(target)
     k = target.shift[0]
+    m = abs(k)
     if k:
-        m = abs(k)
         sums = _residue_sums(f, m)
         gap = functools.cache(lambda r: _residue_gap(sums, m, r))
         trace = lambda p: _residue_trace(p, m, gap(p % m))
     else:
         trace = lambda p: _mirror_trace(f, p)
-    return {p: trace(p) or two_palindrome_decision(target, p)
-            for p in range(lo, hi + 1)}
+    verdicts: dict[int, TwoPalDecomposition | str] = {}
+    for p in range(lo, hi + 1):
+        failed, before = trace(p), verdicts.get(p - m)  # k = 0: p - m is p
+        if failed or not isinstance(before, TwoPalDecomposition):
+            verdicts[p] = failed or two_palindrome_decision(target, p)
+            continue
+        g = {x: v for (x,), v in before.g._entries.items()}
+        for x, v in f.items():
+            y = p + min(k, 0) - x
+            g[y] = g.get(y, 0) + (v if k > 0 else -v)
+        verdicts[p] = _checked(target, f, p, g)
+    return verdicts
 
 
 @dataclass

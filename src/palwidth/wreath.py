@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 from .lattice import (LatticeFn, Point, json_field, json_int, json_object,
@@ -235,7 +236,7 @@ class WreathContext:
             return ("t",)
         return tuple(f"x{i}" for i in range(1, self.r + 1))
 
-    @property
+    @cached_property
     def alphabet(self) -> Alphabet:
         return Alphabet(self.base.alphabet.names + self.lattice_names())
 

@@ -283,6 +283,59 @@ def test_size_commutator_conjugated_far_rank2():
     _report("size (x1^N [x1,x2] x1^-N, N = 10^4, r = 2)", started, 2.0)
 
 
+def test_size_two_lamps_far_apart_rank1():
+    """factorize_wreath_z on lamps a^5 at 0 and a^3 at t^N, N = 3000: the
+    support's own diameter is N, so the split's chain runs between the lamps
+    with one run pair per step; about 8N runs and 20N letters in 3 factors."""
+    n = 3000
+    started = time.time()
+    e = make_element(LAMP_CTX, {(0,): 5, (n,): 3}, (0,))
+    fact = factorize_wreath_z(e)
+    assert fact.count == 3
+    runs = sum(len(w.runs) for w in fact.factors)
+    letters = sum(len(w) for w in fact.factors)
+    assert runs <= 8 * n + 8 and letters <= 20 * n, (runs, letters)
+    cert = wreath_certificate(e, fact, {})
+    verify_certificate(json.loads(json.dumps(cert)))
+    _report("size (lamps at 0 and t^N, N = 3000, r = 1)", started, 0.4)
+
+
+def test_size_commutators_along_two_axes_rank2():
+    """x1^N x2^N [x1,x2] x2^-N x1^-N [x1,x2] at N = 200: two chains along
+    different axes whose neighbouring points share no monomial prefix, so
+    the output has about 4N^2 letters, in about 20N runs and 10 factors."""
+    n = 200
+    commutator = Word(((0, 1), (1, 1), (0, -1), (1, -1)))
+    started = time.time()
+    e = evaluate_word_flow(2, concat([power(0, n), power(1, n), commutator,
+                                      power(1, -n), power(0, -n), commutator]))
+    fact = factorize_metabelian(e)
+    assert fact.count <= 10
+    runs = sum(len(w.runs) for w in fact.factors)
+    letters = sum(len(w) for w in fact.factors)
+    assert runs <= 20 * n + 32 and letters <= 4.5 * n * n, (runs, letters)
+    cert = metabelian_certificate(e, fact, {})
+    verify_certificate(json.loads(json.dumps(cert)))
+    _report("size (x1^N x2^N [x1,x2] x2^-N x1^-N [x1,x2], N = 200, r = 2)",
+            started, 0.3)
+
+
+def test_size_same_grid_pair_rank2():
+    """+-v at (0,0) and (2,0), one grid, v = 1000: no battlement correction,
+    but each [x1,x2]^v is spelled as 4v single-letter runs, so the output
+    has about 16v letters in as many runs."""
+    v = 1000
+    started = time.time()
+    e = squares_to_element(SquareCoeffs(2, {(0, 1): LatticeFn(2, {(0, 0): v, (2, 0): -v})}))
+    fact = factorize_metabelian(e)
+    runs = sum(len(w.runs) for w in fact.factors)
+    letters = sum(len(w) for w in fact.factors)
+    assert runs <= 16 * v + 8 and letters <= 16 * v + 8, (runs, letters)
+    cert = metabelian_certificate(e, fact, {})
+    verify_certificate(json.loads(json.dumps(cert)))
+    _report("size (+-1000 at (0,0) and (2,0), r = 2)", started, 0.1)
+
+
 def _factorize_battlement_heavy(e, v, letters_per_v2, budget, name):
     """factorize_metabelian on an element whose grid sums are about v: the
     battlement lines put about v commutators on each grid, centred on its
@@ -343,6 +396,19 @@ def test_time_width3_all_passing_centers():
     for _ in range(100):
         witness = certify_width_three(target)
     _report("time (certify_width_three x100, 58 passing centers)", started, 0.6)
+    assert len(witness.found()) == len(witness.verdicts) == 58
+
+
+def test_time_width3_all_passing_centers_negative_shift():
+    """({0:-1, 1:-1, 2:-1}, -3) also decomposes at all 58 centers: the scan
+    solves the first center of each residue class and steps each later one
+    from the center m = 3 below it, walking g against the shift."""
+    target = lamp_element({0: -1, 1: -1, 2: -1}, -3)
+    started = time.time()
+    for _ in range(100):
+        witness = certify_width_three(target)
+    _report("time (certify_width_three x100, 58 passing centers, k = -3)",
+            started, 0.5)
     assert len(witness.found()) == len(witness.verdicts) == 58
 
 

@@ -293,6 +293,24 @@ def test_width3_certificate_tampered_verdict_rejected(tmp_path):
         assert proc.returncode == 2, (word, p, proc.stderr)
 
 
+def test_width3_certificate_stepped_centers_negative_shift(tmp_path):
+    # ({0:-1, 1:-1, 2:-1}, -3) decomposes at every center of [-4, 7].  The
+    # scan solves -4, -3 and -2, the first center of each residue class mod
+    # 3, and steps each later one; verify re-runs it in a fresh process.
+    cert_path = tmp_path / "cert.json"
+    run("certify-width3", "--word", "A t A t A t^-5", "--scan-radius", "4",
+        "--out", str(cert_path))
+    assert run("verify", str(cert_path), check=False).returncode == 0
+    cert = json.loads(cert_path.read_text())
+    assert cert["input"]["shift"] == [-3]
+    assert cert["decompositions_found_at"] == list(range(-4, 8))
+    for edit in ({"verdict": "none"}, {"q": 1}):
+        tampered = json.loads(cert_path.read_text())
+        tampered["verdicts"]["2"].update(edit)  # stepped from -1, which was from -4
+        proc = _verify_json(tmp_path, tampered)
+        assert proc.returncode == 2, (edit, proc.stderr)
+
+
 def test_free_base_factors_one_per_run(tmp_path):
     cert_path = tmp_path / "cert.json"
     run("factor", "wreath", "--base", "free:a,b", "--word", "a b^1000 t a^-500",

@@ -408,9 +408,18 @@ def test_closed_form_matches_window_propagation(case):
 @example((lamp_element({-2: 1, 2: 1}, 0), 0))
 @example((WITNESS, 0))
 @example((lamp_element({0: 4, 7: -1}, -2), 3))
+# Each center passes at k = +-1; these ranges start mid-chain, so the first
+# center is solved and the rest are stepped.
+@example((lamp_element({-3: 2, 0: -1, 4: 5}, 1), 0, (5, 12)))
+@example((lamp_element({-2: 1, 1: 3, 6: -4}, -1), 0, (-3, 4)))
+# Negative k, every center passing: stepping walks g against the shift.
+@example((lamp_element({0: -1, 1: -1, 2: -1}, -3), 0))
+# |k| = 9 exceeds the 7 centers scanned, each of which passes and starts its chain.
+@example((lamp_element({0: 1, 1: 1, 2: 1, 3: 3, 4: 1, 5: 1, 6: 1, 7: 1, 8: 1, 12: -2}, 9),
+          0, (-2, 4)))
 def test_scan_matches_per_center_decision(case):
-    target, _ = case
-    lo, hi = -16, 16 + abs(target.shift[0])
+    target, _, *scan = case  # an example may fix the scan range
+    lo, hi = scan[0] if scan else (-16, 16 + abs(target.shift[0]))
     scanned = scan_centers(target, lo, hi)
     assert list(scanned) == list(range(lo, hi + 1))
     for p, verdict in scanned.items():

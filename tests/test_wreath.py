@@ -99,6 +99,14 @@ def test_cyclic_base_reduces_values():
     assert e2 == make_element(ctx, {(0,): 2}, (0,))
 
 
+def test_context_alphabet_built_once():
+    # parse_word caches its letter table per Alphabet, so the context keeps one.
+    ctx = WreathContext(CyclicGroup(5), 3)
+    assert ctx.alphabet is ctx.alphabet
+    assert ctx.alphabet.names == ("a", "x1", "x2", "x3")
+    assert ctx == WreathContext(CyclicGroup(5), 3)
+
+
 def test_word_group_base():
     base = WordGroup(Alphabet(("b", "c")))
     ctx = WreathContext(base, 1)
