@@ -29,7 +29,7 @@ from .metabelian import free_alphabet
 from .skew import SkewPiece, check_pieces
 from .symmetric import SymmetricSplit, check_split
 from .wreath import base_from_name, element_from_json, element_to_json, evaluate_word
-from .words import (EPSILON, Alphabet, Factorization, Word, check_factorization,
+from .words import (EPSILON, Alphabet, Factorization, Word, check_factorization, concat,
                     format_word, parse_word)
 
 TOOL = "palwidth 0.1.0"
@@ -103,11 +103,11 @@ def _check_factorization(cert: dict) -> None:
     if cert["kind"] == "wreath-factorization":
         element = element_from_json(json_field(cert, "input", "certificate"))
         alphabet = element.ctx.alphabet
-        evaluate = lambda w: evaluate_word(element.ctx, w)
+        evaluate = lambda ws: evaluate_word(element.ctx, concat(ws))
     else:
         element = flow_from_json(json_field(cert, "input", "certificate"))
         alphabet = free_alphabet(element.r)
-        evaluate = lambda w: evaluate_word_flow(element.r, w)
+        evaluate = lambda ws: evaluate_word_flow(element.r, ws)
     factors = _words(alphabet, json_field(cert, "factors", "certificate"), "factor")
     check_factorization(evaluate, element, factors, bound)
     if len(factors) != count:
@@ -195,7 +195,7 @@ def _check_width3(cert: dict) -> None:
                         "upper_factorization")
     factors = _words(element.ctx.alphabet, json_field(upper, "factors", "upper_factorization"),
                      "upper factor")
-    check_factorization(lambda w: evaluate_word(element.ctx, w), element, factors,
+    check_factorization(lambda ws: evaluate_word(element.ctx, concat(ws)), element, factors,
                         _optional_int(upper.get("bound"), "upper bound"))
     if json_int(json_field(upper, "count", "upper_factorization"), "count") != len(factors):
         raise VerificationError("upper factorization count does not match its factors")
@@ -222,7 +222,8 @@ def _check_min_length(cert: dict) -> None:
             raise VerificationError("witness length does not match the minimum")
         if any(len(w) > max_len for w in factors):
             raise VerificationError("witness factor is longer than max_len")
-        check_factorization(lambda w: evaluate_word(element.ctx, w), element, factors)
+        check_factorization(lambda ws: evaluate_word(element.ctx, concat(ws)), element,
+                            factors)
 
 
 def _check_rewrite(cert: dict) -> None:
@@ -231,7 +232,7 @@ def _check_rewrite(cert: dict) -> None:
                                         "alphabet")))
     target = parse_word(alphabet, json_str(json_field(cert, "target", "certificate"), "target"))
     factors = _words(alphabet, json_field(cert, "factors", "certificate"), "rewrite factor")
-    check_factorization(Word.free_reduce, target.free_reduce(), factors)
+    check_factorization(lambda ws: concat(ws).free_reduce(), target.free_reduce(), factors)
     count = json_int(json_field(cert, "count", "certificate"), "count")
     if count != sum(1 for w in factors if w):
         raise VerificationError("rewrite count does not match its nonempty factors")

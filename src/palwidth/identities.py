@@ -30,7 +30,7 @@ def commutator_three_palindromes(g: Word, b: Word) -> PalindromicFactorList:
     factors = [g * b * g.reverse(),
                g.reverse().invert() * g.invert(),
                b.invert()]
-    check_factorization(Word.free_reduce, target.free_reduce(), factors)
+    check_factorization(lambda ws: concat(ws).free_reduce(), target.free_reduce(), factors)
     return PalindromicFactorList(factors, target)
 
 
@@ -54,5 +54,6 @@ def conjugate_factorization(h: Word, factors: list[Word]) -> PalindromicFactorLi
             out.append(h * g * h.reverse())
         else:
             out.append(h.reverse().invert() * g * h.invert())
-    check_factorization(Word.free_reduce, target.free_reduce(), out, len(factors) + 1)
+    check_factorization(lambda ws: concat(ws).free_reduce(), target.free_reduce(), out,
+                        len(factors) + 1)
     return PalindromicFactorList(out, target)

@@ -85,7 +85,7 @@ def palindrome_for(e: WreathElement) -> Word:
         at = x
     parts += [walk(hi - at), walk(lo)]
     word = concat(parts)
-    check_factorization(lambda w: evaluate_word(LAMP_CTX, w), e, [word])
+    check_factorization(lambda ws: evaluate_word(LAMP_CTX, concat(ws)), e, [word])
     return word
 
 

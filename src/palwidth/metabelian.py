@@ -3,25 +3,30 @@
 An element is a shift vector (its abelianization) plus a finitely supported
 integer flow on the grid graph of Z^r, with divergence +1 at the origin and
 -1 at the shift.  Words over x_1..x_r evaluate by tracing their path; two
-words are equal in the group exactly when their flows agree.  Shift-zero
-elements (the derived subgroup) convert to and from commutator-power
-coefficient functions.
+words are equal in the group exactly when their flows agree.  A product of
+palindromes is traced from their first halves: if H has shift s, the edge
+(p, a) of H is the edge (s - p - e_a, a) of reverse(H), each taken relative
+to its word's start, with the same value.  Shift-zero elements (the derived
+subgroup) convert to and from commutator-power coefficient functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from functools import cache
+from typing import Any, Sequence
 
 from .errors import VerificationError
 from .lattice import (LatticeFn, Point, json_field, json_int, json_list, json_object,
                       json_point)
-from .words import Alphabet, Word
+from .words import Alphabet, Run, Word
 
 Edge = tuple[Point, int]  # (tail point, 0-based axis)
 
 
+@cache
 def free_alphabet(r: int) -> Alphabet:
+    """x1..xr; one Alphabet per rank, so parse_word's letter table is built once."""
     return Alphabet(tuple(f"x{i}" for i in range(1, r + 1)))
 
 
@@ -86,25 +91,12 @@ def _clean(edges: dict[Edge, int]) -> dict[Edge, int]:
     return {e: v for e, v in edges.items() if v}
 
 
-def evaluate_word_flow(r: int, word: Word) -> FlowElement:
-    """Trace the word's path from the origin, counting signed edge passages.
-
-    The path never leaves the box |coordinate| <= n, n = len(word), so the
-    walk codes a point as one integer, mixed radix 2n+1 per axis, and an
-    edge (point, axis) as code * r + axis.  A letter then costs one addition
-    and one dict update; only the nonzero edges are decoded back to
-    (point, axis), once, at the end, in first-passage order.
-    """
-    if r < 1:
-        raise ValueError(f"rank {r} must be at least 1")
-    span = len(word)
-    base = 2 * span + 1
-    step = {gen: r * base ** gen for gen in range(r)}  # key change per unit step
-    key = r * span * sum(base ** axis for axis in range(r))  # the origin
-    edges: dict[int, int] = {}
+def _walk(runs: Sequence[Run], key: int, step: dict[int, int], edges: dict[int, int]) -> int:
+    """Add the signed edge passages of the runs, walked from the point coded
+    `key`, into `edges`; return the code of the end point."""
     get = edges.get
     try:
-        for gen, exp in word.runs:
+        for gen, exp in runs:
             move = step[gen]
             if exp == 1:
                 k = key + gen
@@ -125,7 +117,56 @@ def evaluate_word_flow(r: int, word: Word) -> FlowElement:
                 for k in range(start, key + gen - 1, -move):
                     edges[k] = get(k, 0) - 1
     except KeyError:
-        raise ValueError(f"letter index {gen} outside rank-{r} alphabet") from None
+        raise ValueError(f"letter index {gen} outside rank-{len(step)} alphabet") from None
+    return key
+
+
+def evaluate_word_flow(r: int, word: Word | Sequence[Word]) -> FlowElement:
+    """Trace the path of a word, or of the product of a factor list, from the
+    origin, counting signed edge passages.
+
+    The path never leaves the box |coordinate| <= n, n its number of letters,
+    so the walk codes a point as one integer, mixed radix 2n+1 per axis, and
+    an edge (point, axis) as code * r + axis.  A letter then costs one
+    addition and one dict update; only the nonzero edges are decoded back to
+    (point, axis), once, at the end.  A single word is walked letter by
+    letter and keeps its edges in first-passage order.
+
+    In a factor list, each literal palindrome H c reverse(H), c empty or one
+    run, is walked only through H and c.  Let s be H's shift: an edge (p, a)
+    of H, taken relative to H's start, is the edge (s - p - e_a, a) of
+    reverse(H), taken relative to reverse(H)'s start, with the same value.
+    In key coding that is the key K - k + 2a - step[a], a = k mod r, where K
+    is the key after c plus the key after H, so H's edges are added a second
+    time, reflected.  Other factors are walked letter by letter.
+    """
+    if r < 1:
+        raise ValueError(f"rank {r} must be at least 1")
+    halve = not isinstance(word, Word)
+    words = word if halve else (word,)
+    span = sum(map(len, words))
+    base = 2 * span + 1
+    step = {gen: r * base ** gen for gen in range(r)}  # key change per unit step
+    reflect = [2 * axis - step[axis] for axis in range(r)]
+    key = r * span * sum(base ** axis for axis in range(r))  # the origin
+    edges: dict[int, int] = {}
+    get = edges.get
+    for w in words:
+        runs = w.runs
+        half = len(runs) // 2
+        if halve and half and runs == runs[::-1]:
+            mirror: dict[int, int] = {}
+            mid = _walk(runs[:half], key, step, mirror)
+            end = _walk(runs[half:len(runs) - half], mid, step, edges)
+            total = end + mid
+            for k, v in mirror.items():
+                if v:
+                    edges[k] = get(k, 0) + v
+                    k = total - k + reflect[k % r]
+                    edges[k] = get(k, 0) + v
+            key = end + mid - key
+        else:
+            key = _walk(runs, key, step, edges)
 
     def point(code: int) -> Point:
         coords = []

@@ -97,7 +97,7 @@ def palindromize_skew(coeffs: SquareCoeffs) -> Word:
     """
     _require_skew(coeffs, (0,) * coeffs.r)
     word = _skew_palindrome(coeffs)
-    check_factorization(lambda w: evaluate_word_flow(coeffs.r, w),
+    check_factorization(lambda ws: evaluate_word_flow(coeffs.r, ws),
                         squares_to_element(coeffs), [word])
     return word
 
@@ -118,7 +118,7 @@ def palindromize_conjugated(coeffs: SquareCoeffs, p: Point) -> list[Word]:
     skew about p - (e_i + e_j)/2; the monomials vanish when p = 0."""
     _require_skew(coeffs, tuple(p))
     factors = _conjugated_factors(coeffs, p)
-    if evaluate_word_flow(coeffs.r, concat(factors)) != squares_to_element(coeffs):
+    if evaluate_word_flow(coeffs.r, factors) != squares_to_element(coeffs):
         raise VerificationError("conjugated spelling does not evaluate back")
     return factors
 
@@ -147,7 +147,7 @@ def palindromize_gridzero(h: FlowElement) -> Factorization:
     (all-zero grid sums, the usual hypothesis, always qualify)."""
     factors = _gridzero_factors(circulation_to_squares(h))
     bound = 3 * h.r + 1
-    check_factorization(lambda w: evaluate_word_flow(h.r, w), h, factors, bound)
+    check_factorization(lambda ws: evaluate_word_flow(h.r, ws), h, factors, bound)
     return Factorization(factors, bound)
 
 
@@ -272,5 +272,5 @@ def factorize_metabelian(g: FlowElement) -> Factorization:
     factors = (_gridzero_factors(plan.corrected_coeffs) + plan.inverse_factors()
                + shift_parts)
     bound = metabelian_width_bound(r)
-    check_factorization(lambda w: evaluate_word_flow(r, w), g, factors, bound)
+    check_factorization(lambda ws: evaluate_word_flow(r, ws), g, factors, bound)
     return Factorization(factors, bound)

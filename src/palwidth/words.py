@@ -254,15 +254,19 @@ class Factorization:
         return len(self.factors)
 
 
-def check_factorization(evaluate: Callable[[Word], Any], target: Any,
+def check_factorization(evaluate: Callable[[list[Word]], Any], target: Any,
                         factors: list[Word], bound: int | None = None) -> None:
     """Raise VerificationError unless every factor is a literal palindrome,
-    evaluate(product of the factors) == target, and there are at most `bound`
-    factors (no limit when bound is None)."""
+    evaluate(factors), the model's value of their product, == target, and
+    there are at most `bound` factors (no limit when bound is None).
+
+    The model gets the list, not its concatenation, so it may use the
+    palindromes: the flow model walks each one only through its first half
+    and its middle run and reflects the half's edges."""
     for index, w in enumerate(factors):
         if not w.is_palindrome():
             raise VerificationError(f"factor {index} is not a palindrome")
-    if evaluate(concat(factors)) != target:
+    if evaluate(factors) != target:
         raise VerificationError("factor product does not evaluate to the target")
     if bound is not None and len(factors) > bound:
         raise VerificationError(f"{len(factors)} factors exceed the bound {bound}")

@@ -11,11 +11,11 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any
+from typing import Any, Sequence
 
 from .lattice import (LatticeFn, Point, json_field, json_int, json_object,
                       json_point, json_str)
-from .words import Alphabet, EPSILON, Word, power
+from .words import Alphabet, EPSILON, Word, concat, power
 
 
 class BaseGroup:
@@ -283,16 +283,19 @@ def make_element(ctx: WreathContext, fn: dict[Point, Any] | LatticeFn,
     return WreathElement(ctx, fn, tuple(shift))
 
 
-def evaluate_word(ctx: WreathContext, word: Word) -> WreathElement:
+def evaluate_word(ctx: WreathContext, word: Word | Sequence[Word]) -> WreathElement:
     """Operational semantics: base letters multiply the lamp under the cursor,
     lattice letters move the cursor.  One step per run: a base run g^k
-    multiplies by base.power(g, k), a lattice run moves the cursor k places."""
+    multiplies by base.power(g, k), a lattice run moves the cursor k places.
+    A factor list evaluates as its concatenation: a palindrome's half
+    touches each of its lamps about once, so reflecting it would cost as
+    much as the walk."""
     base = ctx.base
     nb = ctx.base_size
     ident = base.identity()
     config: dict[Point, Any] = {}
     pos = [0] * ctx.r
-    for gen, exp in word.runs:
+    for gen, exp in (word if isinstance(word, Word) else concat(word)).runs:
         if gen < nb:
             value = base.power(gen, exp)
             key = tuple(pos)

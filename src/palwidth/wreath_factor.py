@@ -234,7 +234,7 @@ def _assemble(e: WreathElement, split, bound: int | None) -> Factorization:
         if exp:
             factors.append(power(ctx.lattice_gen(axis0), exp))
 
-    check_factorization(lambda w: evaluate_word(ctx, w), e, factors, bound)
+    check_factorization(lambda ws: evaluate_word(ctx, concat(ws)), e, factors, bound)
     return Factorization(factors, bound)
 
 

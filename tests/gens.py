@@ -121,3 +121,16 @@ def extra_dipole(split_fn):
         dipole = LatticeFn(f.r, {far: 1, mirror: -1})
         return [SkewPiece(first.fn.add(dipole), first.two_center)] + pieces[1:]
     return tampered
+
+
+def swap_mirrored_letters(word: Word) -> Word:
+    """The palindrome with the first two neighbouring letters of its half
+    that differ in generator swapped, and their mirror images with them: still
+    a literal palindrome with the same shift, but another flow."""
+    runs = list(word.runs)
+    k = next(k for k in range(len(runs) // 2 - 1)
+             if abs(runs[k][1]) == abs(runs[k + 1][1]) == 1 and runs[k][0] != runs[k + 1][0])
+    swapped = [runs[k + 1], runs[k]]
+    runs[k:k + 2] = swapped
+    runs[len(runs) - 2 - k:len(runs) - k] = swapped[::-1]
+    return Word(runs)

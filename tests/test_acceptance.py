@@ -377,6 +377,21 @@ def test_time_metabelian_battlement_heavy():
     _report("time (factorize_metabelian, 4 battlement-heavy elements)", started, 0.4)
 
 
+def test_time_verify_metabelian_battlement_heavy():
+    """`palwidth verify` on the certificates of the four elements above, about
+    244,000 letters: parsing, then the flow walk, which takes each palindrome
+    through its first half and middle run only."""
+    certs = []
+    for seed, r in ((1, 3), (2, 3), (3, 4), (4, 4)):
+        e = random_flow_element(random.Random(seed), r, 2, 30, 3, points_per_pair=6)
+        cert = metabelian_certificate(e, factorize_metabelian(e), {})
+        certs.append(json.loads(json.dumps(cert)))
+    started = time.time()
+    for cert in certs:
+        verify_certificate(cert)
+    _report("time (verify, 4 battlement-heavy metabelian certificates)", started, 0.35)
+
+
 def test_time_half_split_dense_rank1():
     """skew_split_half moves each point's merged mass once, so 1400 points
     within radius 1000 split in well under a second."""

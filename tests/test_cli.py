@@ -4,10 +4,10 @@ import sys
 
 import pytest
 
-from palwidth import cli
+from palwidth import cli, format_word, free_alphabet, parse_word
 from palwidth.certificates import sha256_of
 
-from gens import extra_dipole, wrong_gamma
+from gens import extra_dipole, swap_mirrored_letters, wrong_gamma
 
 CLI = [sys.executable, "-m", "palwidth.cli"]
 
@@ -474,6 +474,24 @@ def test_verify_rejects_tampered_certificate_of_every_kind(tmp_path, kind, edit)
         cert.update(edit)
     proc = _verify_json(tmp_path, cert)
     assert proc.returncode == 2, proc.stderr
+
+
+def test_verify_rejects_palindrome_preserving_tamper(tmp_path):
+    # the longest factor is a skew palindrome G reverse(G); swapping two letters
+    # of G and their mirrors keeps it a palindrome with the same shift, so only
+    # the product's edges show the change
+    cert = json.loads(run("factor", "metabelian", "--word", "x1x2X1X2 x2^3x1x2X1X2",
+                          "--r", "2").stdout)
+    assert _verify_json(tmp_path, cert).returncode == 0
+    index = max(range(len(cert["factors"])), key=lambda i: len(cert["factors"][i]))
+    alphabet = free_alphabet(2)
+    tampered = swap_mirrored_letters(parse_word(alphabet, cert["factors"][index]))
+    assert tampered.is_palindrome()
+    cert["factors"][index] = format_word(alphabet, tampered)
+    cert["transcript"]["factors_sha256"] = sha256_of(cert["factors"])
+    proc = _verify_json(tmp_path, cert)
+    assert proc.returncode == 2, proc.stderr
+    assert "does not evaluate to the target" in proc.stderr
 
 
 def test_verify_checks_what_a_decomposition_says(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from palwidth import (FlowElement, LatticeFn, SquareCoeffs, VerificationError, Word,
-                      circulation_to_squares, evaluate_word_flow,
+                      circulation_to_squares, concat, evaluate_word_flow,
                       flow_from_json, flow_to_json, free_alphabet, identity_flow,
                       invert_flow, lattice_word, multiply_flow, parse_word,
                       squares_to_element)
@@ -67,6 +67,39 @@ def test_flow_evaluation_matches_letter_walk(ranked, at, offset, exp):
     at = min(at, len(runs))
     with pytest.raises(ValueError, match=f"letter index {r + offset} outside rank-{r}"):
         evaluate_word_flow(r, Word(runs[:at] + [(r + offset, exp)] + runs[at:]))
+
+
+def _factors(r):
+    """Literal palindromes H c reverse(H), H of 0-6 runs, c empty or one run,
+    mixed with arbitrary words."""
+    run = st.tuples(st.integers(0, r - 1), st.integers(-40, 40).filter(bool))
+    palindrome = st.builds(lambda half, middle: Word(half + middle + half[::-1]),
+                           st.lists(run, max_size=6), st.lists(run, max_size=1))
+    return st.one_of(palindrome, st.builds(Word, st.lists(run, max_size=4)))
+
+
+ranked_factor_lists = st.integers(1, 5).flatmap(
+    lambda r: st.tuples(st.just(r), st.lists(_factors(r), max_size=6)))
+
+
+# Example budget; never lowered to hide a failure.
+@settings(max_examples=300, deadline=None, database=None)
+@given(ranked_factor_lists)
+@example((2, [Word(((0, 1), (1, 1), (0, -2), (1, 1), (0, 1)))] * 2))
+@example((3, [Word(((2, -40),)), Word(((1, 1), (2, 3), (1, 1)))]))
+def test_product_evaluation_matches_letter_walk(ranked):
+    # each palindrome is walked through its half and middle, its mirror reflected
+    r, factors = ranked
+    flow = evaluate_word_flow(r, factors)
+    shift, edges = ref_flow_walk(r, concat(factors).runs)
+    assert flow.shift == shift
+    assert flow.edges == dict(edges)
+
+
+def test_free_alphabet_built_once():
+    # parse_word caches its letter table per Alphabet, so each rank keeps one.
+    assert free_alphabet(3) is free_alphabet(3)
+    assert free_alphabet(3).names == ("x1", "x2", "x3")
 
 
 def test_noncommuting_generators():

@@ -16,7 +16,7 @@ from palwidth import (HypothesisViolation, LatticeFn, SquareCoeffs, Verification
                       palindromize_conjugated, palindromize_gridzero, palindromize_skew, metabelian_width_bound,
                       parse_word, squares_to_element)
 
-from gens import extra_dipole, random_flow_element
+from gens import extra_dipole, random_flow_element, swap_mirrored_letters
 
 X2 = free_alphabet(2)
 
@@ -328,6 +328,10 @@ def _padded_skew(build):
     return lambda coeffs: power(0, 2) * build(coeffs) * power(0, 2)
 
 
+def _swapped_skew(build):
+    return lambda coeffs: swap_mirrored_letters(build(coeffs))
+
+
 def _extra_palindrome(build):
     return lambda coeffs: build(coeffs) + [power(1, 3)]
 
@@ -347,6 +351,7 @@ def _extra_presplit_palindrome(build):
 
 
 @pytest.mark.parametrize("name, tamper", [("_skew_palindrome", _padded_skew),
+                                          ("_skew_palindrome", _swapped_skew),
                                           ("_gridzero_factors", _extra_palindrome),
                                           ("skew_split_fixed_centers", extra_dipole),
                                           ("_battlement_word", _extra_presplit_palindrome),
