@@ -16,7 +16,8 @@ trace.  A passing class is solved once, by two_palindrome_decision, and each
 later center of it is stepped: g_{p+m}(x) = g_p(x) + sgn(k) f(p + max(k,0) - x),
 since moving the center by m adds one reflected copy of f to the equation
 g(x) - g(x - k) = f(x) - f(p + k - x) that g solves.  Every solution is
-checked alike: both symmetries, and the product of the two factors.
+checked alike: both symmetries, and the product of the two factors, as
+g + h(. - p) = f on the returned lamp functions rather than through multiply.
 `palwidth verify` re-decides a width-3 certificate with the same scan.
 
 The oracle searches breadth first by factor count, with one layer step on
@@ -37,7 +38,8 @@ from typing import Mapping
 
 from .errors import BudgetExceeded, HypothesisViolation, VerificationError
 from .lattice import LatticeFn
-# invert is unused here; the benchmark tracer wraps lamplighter.invert.
+# invert and multiply are unused here; the benchmark tracer wraps
+# lamplighter.invert and lamplighter.multiply.
 from .wreath import (IntegerGroup, WreathContext, WreathElement, evaluate_word,
                      invert, make_element, multiply)
 from .wreath_factor import factorize_wreath_z
@@ -91,7 +93,8 @@ def palindrome_for(e: WreathElement) -> Word:
 
 @dataclass
 class TwoPalDecomposition:
-    """Verified solution target = (g, p) * (h, q) with both parts symmetric."""
+    """Verified solution target = (g, p) * (h, q) with both parts symmetric;
+    the product was checked as g + h(. - p) = f on these lamp functions."""
 
     g: LatticeFn
     p: int
@@ -221,28 +224,40 @@ def two_palindrome_decision(target: WreathElement, p: int
 
 def _checked(target: WreathElement, f: dict[int, int], p: int,
              g: dict[int, int]) -> TwoPalDecomposition | str:
-    """The decomposition (g, p)(f - g, k - p) of the target (f, k), checked:
-    g (zero entries ignored) symmetric about p/2, h0 := f - g about (p + k)/2,
-    and the factors multiply back to the target.  Else the failing trace."""
+    """The decomposition (g, p)(f - g, k - p) of the target (f, k), checked on
+    lamp dicts: g (zero entries ignored) symmetric about p/2, h0 := f - g
+    about (p + k)/2, and the product of the returned factors, g plus h
+    translated by p, equal to f; their shift p + (k - p) is k as built.
+    Else the failing trace."""
     k = target.shift[0]
+    g_entries = {}
     h0 = dict(f)  # f - g, without zero entries
     for x, v in g.items():
+        if not v:
+            continue
+        if g.get(p - x, 0) != v:
+            return f"p={p}: solved g breaks its symmetry at {x}"
+        g_entries[(x,)] = v
         rest = h0.get(x, 0) - v
         if rest:
             h0[x] = rest
         else:
             h0.pop(x, None)
-    for x, v in g.items():
-        if g.get(p - x, 0) != v:
-            return f"p={p}: solved g breaks its symmetry at {x}"
     for x, v in h0.items():
         if h0.get(p + k - x, 0) != v:
             return f"p={p}: residual h breaks its symmetry at {x}"
     decomposition = TwoPalDecomposition(
-        LatticeFn._of(1, {(x,): v for x, v in g.items() if v}), p,
+        LatticeFn._of(1, g_entries), p,
         LatticeFn._of(1, {(x - p,): v for x, v in h0.items()}), k - p)
-    left, right = decomposition.as_elements()
-    if multiply(left, right) != target:
+    product = {x: v for (x,), v in decomposition.g._entries.items()}
+    for (x,), v in decomposition.h._entries.items():
+        x += p
+        v += product.get(x, 0)
+        if v:
+            product[x] = v
+        else:
+            del product[x]
+    if product != f:
         raise VerificationError("verified decomposition fails to multiply back")
     return decomposition
 
@@ -257,7 +272,9 @@ def scan_centers(target: WreathElement, lo: int, hi: int
     gives.  A passing center p steps the decomposition at p - m, if any:
     g_p(x) = g_{p-m}(x) + sgn(k) f(p + min(k, 0) - x), the one reflected copy
     of f by which g(x) - g(x - k) = f(x) - f(p + k - x) grows from p - m to p.
-    Other passing centers are solved by two_palindrome_decision."""
+    Other passing centers are solved by two_palindrome_decision.  Every
+    passing center is checked alike: both symmetries, and g + h(. - p) = f on
+    the returned lamp functions, with no multiply through the group model."""
     _require_lamp(target)
     f = _lamps(target)
     k = target.shift[0]
@@ -403,10 +420,11 @@ def minimal_palindromic_length_bfs(target: WreathElement, max_len: int,
                             witness=list(singles[goal]))
 
     gs, gv = _image(goal)
-    seen = set(singles) | {(0, ())}  # the identity is never a state
     layer: Mapping[tuple, tuple[Word, ...]] = singles
     for depth in range(2, max_factors + 1):
         if depth > 2:
+            if depth == 3:  # the first grown layer; the identity is never a state
+                seen = {*singles, (0, ())}
             grown: dict[tuple, tuple[Word, ...]] = {}
             for key, ws in layer.items():
                 for e, _, _, w in steps:

@@ -423,6 +423,9 @@ def test_scan_matches_per_center_decision(case):
     scanned = scan_centers(target, lo, hi)
     assert list(scanned) == list(range(lo, hi + 1))
     for p, verdict in scanned.items():
+        # the group law is the oracle for the library's check on lamp dicts
+        if isinstance(verdict, TwoPalDecomposition):
+            assert multiply(*verdict.as_elements()) == target, p
         assert (decomposition_json(verdict)
                 == decomposition_json(two_palindrome_decision(target, p))), p
 
