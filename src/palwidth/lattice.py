@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 Point = tuple[int, ...]
 
@@ -201,10 +201,3 @@ def grid_vectors(r: int) -> list[Point]:
     """All 2^r vectors in {0,1}^r, lexicographic order."""
     return [v for v in itertools.product((0, 1), repeat=r)]
 
-
-def from_items(r: int, items: Iterable[tuple[Point, Any]], zero: Any = 0) -> LatticeFn:
-    acc: dict[Point, Any] = {}
-    for point, value in items:
-        point = tuple(point)
-        acc[point] = acc.get(point, zero) + value
-    return LatticeFn(r, acc, zero)

@@ -36,7 +36,7 @@ from .metabelian import (FlowElement, Pair, SquareCoeffs, circulation_to_squares
                          evaluate_word_flow, invert_flow, lattice_word,
                          multiply_flow, squares_to_element)
 from .skew import SkewPiece, skew_split_fixed_centers
-from .words import (Factorization, Word, check_factorization, concat, power,
+from .words import (Factorization, Run, Word, check_factorization, concat, power,
                     reduced_concat)
 
 
@@ -63,37 +63,55 @@ def _require_skew(coeffs: SquareCoeffs, p: Point) -> None:
                 f"coefficient for pair {(i + 1, j + 1)} is not skew about {where}")
 
 
+def _attach(out: list[Run], runs: tuple[Run, ...]) -> int:
+    """Append runs to the reduced run list out, cancelling at the seam as
+    reduced_concat does; returns the number of letters cancelled."""
+    k = cancelled = 0
+    while out and k < len(runs) and out[-1][0] == runs[k][0]:
+        gen, last = out[-1]
+        merged = last + runs[k][1]
+        cancelled += abs(last) + abs(runs[k][1]) - abs(merged)
+        k += 1
+        if merged:  # runs[k] has another generator, so the seam ends here
+            out[-1] = (gen, merged)
+            break
+        out.pop()
+    out.extend(runs[k:])
+    return cancelled
+
+
 def _skew_palindrome(coeffs: SquareCoeffs) -> Word:
     """Unchecked builder behind palindromize_skew.
 
-    The half G is reduced_concat over the parts m, rho^|v|, m^-1 of each
-    conjugate, reduced words wrapped from runs, so letters cancel only at part
-    seams, O(1 + runs cancelled) steps each; G reverse(G) is reduced too.
+    The reflection u -> -u - e_i - e_j reverses lex order and fixes no
+    lattice point, and a skew support is closed under it, so the upper half
+    of the sorted support is exactly the representatives u > -u - e_i - e_j.
+    Each appends the runs of m, rho^|v| and m^-1 to G's run list with
+    `_attach`, so letters cancel only at part seams; G reverse(G) is reduced.
     """
-    r = coeffs.r
-    parts: list[Word] = []
-    for pair in reversed(coeffs.pairs()):
-        i, j = pair
-        two_c = _pair_center(r, pair)
+    half: list[Run] = []
+    length = 0
+    for i, j in reversed(coeffs.pairs()):
         up, down = ((i, 1), (j, 1), (i, -1), (j, -1)), ((j, 1), (i, 1), (j, -1), (i, -1))
-        for u, value in coeffs.coeffs[pair].items():  # in point order
-            if u > tuple(c - x for c, x in zip(two_c, u)):
-                m, n = lattice_word(r, u), abs(value)
-                parts += (m, Word._of((up if value > 0 else down) * n, 4 * n), m.invert())
-    half = reduced_concat(parts)
-    return half * half.reverse()
+        items = coeffs.coeffs[i, j].items()  # in point order
+        for u, value in items[len(items) // 2:]:
+            m = tuple((axis, exp) for axis, exp in enumerate(u) if exp)
+            n = abs(value)
+            length += 2 * sum(map(abs, u)) + 4 * n
+            length -= _attach(half, m)
+            length -= _attach(half, (up if value > 0 else down) * n)
+            length -= _attach(half, tuple((axis, -exp) for axis, exp in reversed(m)))
+    word = Word._of(tuple(half), length)
+    return word * word.reverse()
 
 
 def palindromize_skew(coeffs: SquareCoeffs) -> Word:
     """Single palindrome for coefficients skew about -(e_i + e_j)/2.
 
-    Support points pair up as {u, -u - e_i - e_j}; spelling only the
-    lexicographically larger representative of each pair as u rho^f(u) u^-1
-    and appending the reversal of the whole prefix supplies the partners,
-    so the output is literally of the form G reverse(G).  G is the free
-    reduction of those conjugates in that order: the same element, and
-    since reverse(G) is reduced whenever G is, G reverse(G) is a freely
-    reduced palindrome.
+    Support points pair up as {u, -u - e_i - e_j}; G is the free reduction
+    of the conjugates u rho^f(u) u^-1 of the lexicographically larger point
+    of each pair, and reverse(G) supplies the partners, so the output is a
+    freely reduced palindrome G reverse(G).
     """
     _require_skew(coeffs, (0,) * coeffs.r)
     word = _skew_palindrome(coeffs)

@@ -13,8 +13,9 @@ three center families:
   matches; the metabelian pipeline uses this family.
 
 Transport moves all mass onto one point per residue class by reflections
-through the centers; the hypothesis of each family is what makes the mass
-left there vanish.
+through the centers, sweeping one axis at a time and jumping over stretches
+where no mass moves, so a split costs the points that the routes visit; the
+hypothesis of each family is what makes the mass left there vanish.
 
 The split functions are builders: they reject input that breaks their
 family's hypothesis but do not check their own output.  The metabelian
@@ -25,11 +26,13 @@ shows as a wrong product; `decompose skew` and `palwidth verify` run
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
+from operator import sub
 
 from .errors import HypothesisViolation, VerificationError
-from .lattice import LatticeFn, Point, from_items, zero_fn
+from .lattice import LatticeFn, Point, zero_fn
 
 
 @dataclass
@@ -66,110 +69,95 @@ def check_pieces(f: LatticeFn, pieces: list[SkewPiece], context: str) -> None:
 
 def _centers(two_c: Point, step: int) -> list[Point]:
     """Doubled centers two_c, two_c + step*e_1, ..., two_c + step*e_r."""
-    r = len(two_c)
-    out = [tuple(two_c)]
-    for axis in range(r):
-        out.append(tuple(c + (step if j == axis else 0)
-                         for j, c in enumerate(two_c)))
-    return out
+    two_c = tuple(two_c)
+    return [two_c] + [two_c[:axis] + (two_c[axis] + step,) + two_c[axis + 1:]
+                      for axis in range(len(two_c))]
 
 
 def _transport(f: LatticeFn, centers: list[Point], step: int) -> list[SkewPiece]:
     """Decompose f into dipoles about the given doubled centers.
 
-    A move of value v from u to sigma_alpha(u) = centers[alpha] - u appends
-    the dipole v*(delta_u - delta_sigma(u)) to piece alpha; composing a move
-    about centers[alpha] with one about centers[0] translates mass by
-    +-step*e_alpha.  Every point is carried to the canonical representative
-    of its residue class mod step (the origin when step is 1), one step at a
-    time along its first axis off the representative; what remains there is
-    a class sum, which the hypotheses force to zero, except that for step 2
-    opposite classes may cancel through one extra reflection.
-
-    Each unit of mass follows that same route whatever the order of moves,
-    and dipoles are linear in v, so the order changes no piece; it only
-    decides how often mass merges.  Points are moved farthest first, by
-    their per-axis distances to the representative read from the last axis
-    down: a move strictly lowers that key, so every unit headed through a
-    point has arrived before the point moves, and each point moves once.
+    A move of v from u to centers[alpha] - u adds v*(delta_u - delta_dest) to
+    piece alpha; a move about centers[alpha] and one about centers[0]
+    translate mass by +-step*e_alpha.  Every unit of mass walks one step at a
+    time, along its first axis off it, to the representative of its class mod
+    step (the origin when step is 1).  Dipoles are linear in v, so the pieces
+    are the sum of the routes however mass is grouped: one `_sweep` per axis
+    carries it all.  The class sums left vanish by hypothesis, except that
+    for step 2 paired classes cancel: the lex-greatest representative is
+    reflected through centers[0] and swept on, each round emptying two
+    classes, so more rounds than classes mean a broken hypothesis.
     """
-    r = f.r
-    residual: dict[Point, int] = {}
-    dipoles: list[list[tuple[Point, int]]] = [[] for _ in centers]
-    # Min-heap of (negated per-axis distances to the representative, last
-    # axis first; point) for every point that entered the residual off its
-    # representative, so the farthest pops first, ties by point.  Entries
-    # that left the residual since are skipped.
-    heap: list[tuple[Point, Point]] = []
-
-    def canonical(u: Point) -> Point:
-        return tuple(c % step if step > 1 else 0 for c in u)
-
-    def deposit(u: Point, v: int) -> None:
-        """Add v at u; a point new to the residual enters the heap."""
-        total = residual.get(u, 0) + v
-        if total == 0:
-            del residual[u]
-            return
-        if u not in residual:
-            target = canonical(u)
-            if u != target:
-                key = tuple(-abs(c - t) for c, t in zip(reversed(u), reversed(target)))
-                heapq.heappush(heap, (key, u))
-        residual[u] = total
-
-    for u, v in f.items():
-        deposit(u, v)
-
-    def reflect(u: Point, alpha: int) -> Point:
-        return tuple(c - x for c, x in zip(centers[alpha], u))
-
-    def half_move(u: Point, alpha: int) -> None:
-        """One reflection: relocate all mass at u to sigma_alpha(u)."""
+    r, c0 = f.r, centers[0]
+    pieces: list[defaultdict[Point, int]] = [defaultdict(int) for _ in centers]
+    residual = f._entries
+    for _ in range(step ** r + 1):
+        for axis in range(r):
+            residual = _sweep(residual, axis, c0, step, pieces[0], pieces[axis + 1])
+        if not residual:
+            return [SkewPiece(LatticeFn._of(r, {p: v for p, v in d.items() if v}), c)
+                    for d, c in zip(pieces, centers)]
+        u = max(residual)
+        dest = tuple(map(sub, c0, u))
+        if tuple(c % step for c in dest) == u:
+            raise HypothesisViolation(f"class sum {residual[u]} at {u} "
+                                      "cannot cancel (self-paired class)")
         v = residual.pop(u)
-        dest = reflect(u, alpha)
-        dipoles[alpha].append((u, v))
-        dipoles[alpha].append((dest, -v))
-        deposit(dest, v)
+        pieces[0][u] += v
+        pieces[0][dest] -= v
+        residual[dest] = residual.get(dest, 0) + v  # a zero here is on a representative
+    raise VerificationError("transport failed to terminate")
 
-    def translate(u: Point, alpha_first: int, alpha_second: int) -> None:
-        """Two reflections moving the mass at u without disturbing the
-        faraway waypoint (its two dipole contributions cancel across pieces)."""
-        v = residual.pop(u)
-        mid = reflect(u, alpha_first)
-        end = reflect(mid, alpha_second)
-        dipoles[alpha_first].append((u, v))
-        dipoles[alpha_first].append((mid, -v))
-        dipoles[alpha_second].append((mid, v))
-        dipoles[alpha_second].append((end, -v))
-        deposit(end, v)
 
-    guard = 0
-    limit = 8 * (sum(sum(abs(c) for c in p) + 2 * r for p in f.support()) + 4 ** r + 4)
-    while residual:
-        guard += 1
-        if guard > max(limit, 10_000):
-            raise VerificationError("transport failed to terminate")
-        while heap and heap[0][1] not in residual:
-            heapq.heappop(heap)
-        if not heap:
-            # Everything sits on representatives; cancel the lex-greatest
-            # against its paired class through the base reflection.
-            u = max(residual)
-            if canonical(reflect(u, 0)) == u:
-                raise HypothesisViolation(f"class sum {residual[u]} at {u} "
-                                          "cannot cancel (self-paired class)")
-            half_move(u, 0)
-            continue
-        u = heapq.heappop(heap)[1]
-        target = canonical(u)
-        axis = next(j for j in range(r) if u[j] != target[j])
-        if u[axis] > target[axis]:
-            translate(u, axis + 1, 0)   # net -step*e_axis
-        else:
-            translate(u, 0, axis + 1)   # net +step*e_axis
-
-    return [SkewPiece(from_items(r, d), c) for d, c in zip(dipoles, centers)]
+def _sweep(residual: dict[Point, int], axis: int, c0: Point, step: int,
+           base: defaultdict, side: defaultdict) -> dict[Point, int]:
+    """Carry each line of mass along e_axis to its target u_axis mod step,
+    adding each step's dipoles to the pieces about c0 (base) and
+    c0 + step*e_axis (side); returns the mass that arrives.  Each side of a
+    line is walked from its far end, picking up mass on the way and jumping
+    to the next occupied point where the carry cancels, so a sweep costs the
+    points the routes visit, not the extent of the line.
+    """
+    lines: dict[tuple[Point, Point, int], dict[int, int]] = {}
+    for u, v in residual.items():
+        x = u[axis]
+        lines.setdefault((u[:axis], u[axis + 1:], x % step), {})[x] = v
+    c_pre, c_axis, c_post = c0[:axis], c0[axis], c0[axis + 1:]
+    arrived: dict[Point, int] = {}
+    for (pre, post, t), masses in lines.items():
+        total = masses.pop(t, 0)
+        if masses:
+            m_pre, m_post = tuple(map(sub, c_pre, pre)), tuple(map(sub, c_post, post))
+            xs = sorted(masses)
+            split = bisect_left(xs, t)
+            for run, d, first, second, c_first in (
+                    (xs[split:][::-1], -step, side, base, c_axis + step),
+                    (xs[:split], step, base, side, c_axis)):
+                k, n = 0, len(run)
+                while k < n:
+                    x, v = run[k], masses[run[k]]
+                    k += 1
+                    u = pre + (x,) + post
+                    while True:
+                        mid = m_pre + (c_first - x,) + m_post
+                        x += d
+                        end = pre + (x,) + post
+                        first[u] += v
+                        first[mid] -= v
+                        second[mid] += v
+                        second[end] -= v
+                        if x == t:
+                            total += v
+                            break
+                        if k < n and run[k] == x:
+                            v += masses[x]
+                            k += 1
+                            if not v:
+                                break
+                        u = end
+        if total:
+            arrived[pre + (t,) + post] = total
+    return arrived
 
 
 def _transport_at(f: LatticeFn, shift: Point, two_c: Point, step: int) -> list[SkewPiece]:

@@ -402,6 +402,28 @@ def test_time_half_split_dense_rank1():
     check_pieces(f, pieces, "half-step split")
 
 
+def test_time_fixed_split_far_cancelling_pair():
+    """+1 at (10^9, 0) and -1 at (10^9 - 2, 0): the transport walks the one
+    step between them, where the carried mass cancels, and jumps the rest of
+    the line, so the split costs its four dipoles, not the distance 10^9."""
+    f = LatticeFn(2, {(10 ** 9, 0): 1, (10 ** 9 - 2, 0): -1})
+    started = time.time()
+    pieces = skew_split_fixed_centers(f, (-1, -1))
+    _report("time (fixed split, cancelling pair at 10^9)", started, 0.01)
+    check_pieces(f, pieces, "fixed-center split")
+    assert sum(piece.fn.support_size() for piece in pieces) == 4
+
+
+def test_time_fixed_split_transport_heavy_rank3():
+    """About 3,000 points within radius 12 in rank 3, every grid sum zero:
+    the axis sweeps carry about 24,000 piece entries' worth of dipoles."""
+    f = dense_grid_zero(random.Random(2025), 3, 12, 9, 3000)
+    started = time.time()
+    pieces = skew_split_fixed_centers(f, (-1, 1, 3))
+    _report("time (fixed split, 3,008 points in radius 12, r = 3)", started, 0.1)
+    check_pieces(f, pieces, "fixed-center split")
+
+
 def test_time_width3_all_passing_centers():
     """({0:-1, 1:-1, 2:-1}, 3) decomposes at all 58 centers of its default
     scan, the costliest width-3 op: each center is solved and multiplied

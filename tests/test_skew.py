@@ -4,12 +4,13 @@ import random
 
 import pytest
 
-from palwidth import (HypothesisViolation, LatticeFn, SkewPiece,
+from palwidth import (HypothesisViolation, LatticeFn, SkewPiece, VerificationError,
                       skew_split_fixed_centers, skew_split_grid, skew_split_half,
                       zero_fn)
+from palwidth import skew
 from palwidth.skew import check_pieces
 
-from gens import dense_grid_zero, grid_zero, zero_sum
+from gens import dense_grid_zero, grid_zero, random_lattice_int, zero_sum
 
 
 def pieces_sum(pieces, r):
@@ -264,3 +265,28 @@ def test_family_pieces_pinned():
             for family, f, center in _family_cases()]
     blob = json.dumps(rows, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(blob.encode()).hexdigest() == FAMILY_PIECES_SHA256
+
+
+@pytest.mark.parametrize("r", range(1, 6))
+@pytest.mark.parametrize("odd_center", [True, False])
+def test_transport_guard_stops_unbalanced_input(monkeypatch, r, odd_center):
+    """_transport called directly on input whose class sums cannot cancel.
+    About an all-odd center no class is self-paired, so the leftover mass
+    would bounce between two paired classes for ever: the round bound
+    raises.  About the origin every class is self-paired."""
+    f = random_lattice_int(random.Random(r), r, 9, 9, 12)
+    f = f.add(LatticeFn(r, {(0,) * r: 1 - f.grid_sum((0,) * r)}))  # class 0 sums to 1
+    two_c = (1 if odd_center else 0,) * r
+    with pytest.raises(HypothesisViolation):
+        skew_split_fixed_centers(f, two_c)
+    sweeps = []
+    real = skew._sweep
+
+    def counted(*args):
+        sweeps.append(args[1])
+        assert len(sweeps) <= r * (2 ** r + 1), "transport kept sweeping"
+        return real(*args)
+
+    monkeypatch.setattr(skew, "_sweep", counted)
+    with pytest.raises(VerificationError if odd_center else HypothesisViolation):
+        skew._transport(f, skew._centers(two_c, 2), 2)
