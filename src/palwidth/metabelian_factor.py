@@ -63,31 +63,16 @@ def _require_skew(coeffs: SquareCoeffs, p: Point) -> None:
                 f"coefficient for pair {(i + 1, j + 1)} is not skew about {where}")
 
 
-def _attach(out: list[Run], runs: tuple[Run, ...]) -> int:
-    """Append runs to the reduced run list out, cancelling at the seam as
-    reduced_concat does; returns the number of letters cancelled."""
-    k = cancelled = 0
-    while out and k < len(runs) and out[-1][0] == runs[k][0]:
-        gen, last = out[-1]
-        merged = last + runs[k][1]
-        cancelled += abs(last) + abs(runs[k][1]) - abs(merged)
-        k += 1
-        if merged:  # runs[k] has another generator, so the seam ends here
-            out[-1] = (gen, merged)
-            break
-        out.pop()
-    out.extend(runs[k:])
-    return cancelled
-
-
 def _skew_palindrome(coeffs: SquareCoeffs) -> Word:
     """Unchecked builder behind palindromize_skew.
 
     The reflection u -> -u - e_i - e_j reverses lex order and fixes no
     lattice point, and a skew support is closed under it, so the upper half
     of the sorted support is exactly the representatives u > -u - e_i - e_j.
-    Each appends the runs of m, rho^|v| and m^-1 to G's run list with
-    `_attach`, so letters cancel only at part seams; G reverse(G) is reduced.
+    Each appends the runs of its parts m, rho^|v| and m^-1 straight to G's
+    run list, cancelling at each seam as reduced_concat does, so letters
+    cancel only at part seams, O(1 + runs cancelled) steps each; G
+    reverse(G) is reduced too.
     """
     half: list[Run] = []
     length = 0
@@ -96,11 +81,20 @@ def _skew_palindrome(coeffs: SquareCoeffs) -> Word:
         items = coeffs.coeffs[i, j].items()  # in point order
         for u, value in items[len(items) // 2:]:
             m = tuple((axis, exp) for axis, exp in enumerate(u) if exp)
-            n = abs(value)
-            length += 2 * sum(map(abs, u)) + 4 * n
-            length -= _attach(half, m)
-            length -= _attach(half, (up if value > 0 else down) * n)
-            length -= _attach(half, tuple((axis, -exp) for axis, exp in reversed(m)))
+            length += 2 * sum(map(abs, u)) + 4 * abs(value)
+            for runs in (m, (up if value > 0 else down) * abs(value),
+                         tuple((axis, -exp) for axis, exp in reversed(m))):
+                k = 0
+                while half and k < len(runs) and half[-1][0] == runs[k][0]:
+                    gen, last = half[-1]
+                    merged = last + runs[k][1]
+                    length -= abs(last) + abs(runs[k][1]) - abs(merged)
+                    k += 1
+                    if merged:  # runs[k] has another generator: the seam ends
+                        half[-1] = (gen, merged)
+                        break
+                    half.pop()
+                half.extend(runs[k:])
     word = Word._of(tuple(half), length)
     return word * word.reverse()
 
@@ -108,10 +102,13 @@ def _skew_palindrome(coeffs: SquareCoeffs) -> Word:
 def palindromize_skew(coeffs: SquareCoeffs) -> Word:
     """Single palindrome for coefficients skew about -(e_i + e_j)/2.
 
-    Support points pair up as {u, -u - e_i - e_j}; G is the free reduction
-    of the conjugates u rho^f(u) u^-1 of the lexicographically larger point
-    of each pair, and reverse(G) supplies the partners, so the output is a
-    freely reduced palindrome G reverse(G).
+    Support points pair up as {u, -u - e_i - e_j}; spelling only the
+    lexicographically larger representative of each pair as u rho^f(u) u^-1
+    and appending the reversal of the whole prefix supplies the partners,
+    so the output is literally of the form G reverse(G).  G is the free
+    reduction of those conjugates in that order: the same element, and
+    since reverse(G) is reduced whenever G is, G reverse(G) is a freely
+    reduced palindrome.
     """
     _require_skew(coeffs, (0,) * coeffs.r)
     word = _skew_palindrome(coeffs)

@@ -105,7 +105,8 @@ def _transport(f: LatticeFn, centers: list[Point], step: int) -> list[SkewPiece]
         v = residual.pop(u)
         pieces[0][u] += v
         pieces[0][dest] -= v
-        residual[dest] = residual.get(dest, 0) + v  # a zero here is on a representative
+        # A zero sum here sits on a representative, where the sweep drops it.
+        residual[dest] = residual.get(dest, 0) + v
     raise VerificationError("transport failed to terminate")
 
 
