@@ -69,37 +69,43 @@ def check_pieces(f: LatticeFn, pieces: list[SkewPiece], context: str) -> None:
 
 def _centers(two_c: Point, step: int) -> list[Point]:
     """Doubled centers two_c, two_c + step*e_1, ..., two_c + step*e_r."""
-    two_c = tuple(two_c)
-    return [two_c] + [two_c[:axis] + (two_c[axis] + step,) + two_c[axis + 1:]
-                      for axis in range(len(two_c))]
+    r = len(two_c)
+    out = [tuple(two_c)]
+    for axis in range(r):
+        out.append(tuple(c + (step if j == axis else 0)
+                         for j, c in enumerate(two_c)))
+    return out
 
 
-def _transport(f: LatticeFn, centers: list[Point], step: int) -> list[SkewPiece]:
+def _transport(f: LatticeFn, centers: list[Point], step: int, origin: Point
+               ) -> list[SkewPiece]:
     """Decompose f into dipoles about the given doubled centers.
 
     A move of v from u to centers[alpha] - u adds v*(delta_u - delta_dest) to
     piece alpha; a move about centers[alpha] and one about centers[0]
     translate mass by +-step*e_alpha.  Every unit of mass walks one step at a
-    time, along its first axis off it, to the representative of its class mod
-    step (the origin when step is 1).  Dipoles are linear in v, so the pieces
-    are the sum of the routes however mass is grouped: one `_sweep` per axis
-    carries it all.  The class sums left vanish by hypothesis, except that
-    for step 2 paired classes cancel: the lex-greatest representative is
-    reflected through centers[0] and swept on, each round emptying two
-    classes, so more rounds than classes mean a broken hypothesis.
+    time, along its first axis off it, to the representative of its class
+    mod step in origin + {0, ..., step - 1}^r.  Dipoles are linear in v, so
+    the pieces are the sum of the routes however mass is grouped: one
+    `_sweep` per axis carries it all.  The class sums left vanish by
+    hypothesis, except that for step 2 paired classes cancel: the
+    lex-greatest representative is reflected through centers[0] and swept
+    on, each round emptying two classes, so more rounds than classes mean a
+    broken hypothesis.
     """
     r, c0 = f.r, centers[0]
     pieces: list[defaultdict[Point, int]] = [defaultdict(int) for _ in centers]
     residual = f._entries
     for _ in range(step ** r + 1):
         for axis in range(r):
-            residual = _sweep(residual, axis, c0, step, pieces[0], pieces[axis + 1])
+            residual = _sweep(residual, axis, c0, step, origin[axis],
+                              pieces[0], pieces[axis + 1])
         if not residual:
             return [SkewPiece(LatticeFn._of(r, {p: v for p, v in d.items() if v}), c)
                     for d, c in zip(pieces, centers)]
         u = max(residual)
         dest = tuple(map(sub, c0, u))
-        if tuple(c % step for c in dest) == u:
+        if tuple(o + (c - o) % step for c, o in zip(dest, origin)) == u:
             raise HypothesisViolation(f"class sum {residual[u]} at {u} "
                                       "cannot cancel (self-paired class)")
         v = residual.pop(u)
@@ -110,19 +116,20 @@ def _transport(f: LatticeFn, centers: list[Point], step: int) -> list[SkewPiece]
     raise VerificationError("transport failed to terminate")
 
 
-def _sweep(residual: dict[Point, int], axis: int, c0: Point, step: int,
+def _sweep(residual: dict[Point, int], axis: int, c0: Point, step: int, o: int,
            base: defaultdict, side: defaultdict) -> dict[Point, int]:
-    """Carry each line of mass along e_axis to its target u_axis mod step,
-    adding each step's dipoles to the pieces about c0 (base) and
-    c0 + step*e_axis (side); returns the mass that arrives.  Each side of a
-    line is walked from its far end, picking up mass on the way and jumping
-    to the next occupied point where the carry cancels, so a sweep costs the
-    points the routes visit, not the extent of the line.
+    """Carry each line of mass along e_axis to its target coordinate, the one
+    of o, ..., o + step - 1 congruent to u_axis mod step, adding each step's
+    dipoles to the pieces about c0 (base) and c0 + step*e_axis (side);
+    returns the mass that arrives.  Each side of a line is walked from its
+    far end, picking up mass on the way and jumping to the next occupied
+    point where the carry cancels, so a sweep costs the points the routes
+    visit, not the extent of the line.
     """
     lines: dict[tuple[Point, Point, int], dict[int, int]] = {}
     for u, v in residual.items():
         x = u[axis]
-        lines.setdefault((u[:axis], u[axis + 1:], x % step), {})[x] = v
+        lines.setdefault((u[:axis], u[axis + 1:], o + (x - o) % step), {})[x] = v
     c_pre, c_axis, c_post = c0[:axis], c0[axis], c0[axis + 1:]
     arrived: dict[Point, int] = {}
     for (pre, post, t), masses in lines.items():
@@ -161,16 +168,6 @@ def _sweep(residual: dict[Point, int], axis: int, c0: Point, step: int,
     return arrived
 
 
-def _transport_at(f: LatticeFn, shift: Point, two_c: Point, step: int) -> list[SkewPiece]:
-    """Transport of f translated by -shift onto _centers(two_c, step), with
-    the pieces translated back by shift.  Callers take shift from the center,
-    so translating f and the center together translates every piece."""
-    moved = f.shift(tuple(-s for s in shift))
-    return [SkewPiece(piece.fn.shift(shift),
-                      tuple(c + 2 * s for c, s in zip(piece.two_center, shift)))
-            for piece in _transport(moved, _centers(two_c, step), step)]
-
-
 # ---------------------------------------------------------------------------
 # the three center families
 # ---------------------------------------------------------------------------
@@ -185,9 +182,7 @@ def skew_split_half(f: LatticeFn, two_p: Point) -> list[SkewPiece]:
         raise ValueError("center dimension mismatch")
     if f.total() != 0:
         raise HypothesisViolation(f"total sum is {f.total()}, not 0")
-    shift = tuple(c // 2 for c in two_p)
-    tau = tuple(c - 2 * s for c, s in zip(two_p, shift))
-    return _transport_at(f, shift, tau, 1)
+    return _transport(f, _centers(two_p, 1), 1, tuple(c // 2 for c in two_p))
 
 
 def skew_split_fixed_centers(f: LatticeFn, two_c: Point) -> list[SkewPiece]:
@@ -209,15 +204,15 @@ def skew_split_fixed_centers(f: LatticeFn, two_c: Point) -> list[SkewPiece]:
         elif total + sums[partner] != 0:
             raise HypothesisViolation(
                 f"grids {v} and {partner} sum to {total} + {sums[partner]} != 0")
-    return _transport(f, _centers(two_c, step=2), step=2)
+    return _transport(f, _centers(two_c, 2), 2, (0,) * f.r)
 
 
 def skew_split_grid(f: LatticeFn, p: Point) -> list[SkewPiece]:
     """r+1 pieces skew about p, p + e_1, ..., p + e_r for integer p.
 
     Requires all 2^r grid sums of f to vanish.  This is the fixed-center split
-    about the integer point p, where every grid is self-paired; f is moved to
-    put p at the origin, split there, and moved back.
+    about the integer point p, where every grid is self-paired, with the class
+    representatives taken next to p.
     """
     p = tuple(p)
     if len(p) != f.r:
@@ -225,4 +220,4 @@ def skew_split_grid(f: LatticeFn, p: Point) -> list[SkewPiece]:
     for v, total in f.grid_sums().items():
         if total != 0:
             raise HypothesisViolation(f"grid {v} sums to {total}, not 0")
-    return _transport_at(f, p, (0,) * f.r, 2)
+    return _transport(f, _centers(tuple(2 * c for c in p), 2), 2, p)

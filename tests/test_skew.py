@@ -289,4 +289,4 @@ def test_transport_guard_stops_unbalanced_input(monkeypatch, r, odd_center):
 
     monkeypatch.setattr(skew, "_sweep", counted)
     with pytest.raises(VerificationError if odd_center else HypothesisViolation):
-        skew._transport(f, skew._centers(two_c, 2), 2)
+        skew._transport(f, skew._centers(two_c, 2), 2, (0,) * r)
